@@ -19,7 +19,8 @@
 use spmv_bench::microbench::Bench;
 use spmv_bench::{header, hmep, Scale};
 use spmv_core::{
-    distributed_spmv, prepare_kernel, workload, EngineConfig, KernelKind, KernelMode, RowPartition,
+    distributed_spmv, prepare_kernel, workload, EngineConfig, HaloSchedule, KernelKind, KernelMode,
+    RowPartition,
 };
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout, RankNodeMap};
 use spmv_matrix::rcm::rcm_reorder;
@@ -233,8 +234,18 @@ fn main() {
                 });
             (sum, model)
         };
-        let (flat_sum, flat_t) = price(plans.iter().map(|pl| pl.traffic(&map)).collect());
-        let (na_sum, na_t) = price(na_plans.iter().map(|pl| pl.traffic()).collect());
+        let (flat_sum, flat_t) = price(
+            plans
+                .iter()
+                .map(|pl| HaloSchedule::flat(pl).traffic(&map))
+                .collect(),
+        );
+        let (na_sum, na_t) = price(
+            na_plans
+                .iter()
+                .map(|pl| HaloSchedule::node_aware(pl).traffic(&map))
+                .collect(),
+        );
         for (name, s, t) in [("flat", flat_sum, flat_t), ("node-aware", na_sum, na_t)] {
             println!(
                 "  {name:<11} inter {:>4} msgs / {:>7.1} KiB, intra {:>4} msgs / {:>7.1} KiB, \

@@ -67,12 +67,9 @@ fn bench_strategy(
                     }
                     eng.comm().barrier();
                     let secs = t0.elapsed().as_secs_f64() / iters as f64;
-                    // model input: classify flat traffic by the same node
-                    // map the world carries, not the strategy's default
-                    let t = match cfg.comm_strategy {
-                        CommStrategy::Flat => eng.plan().traffic(map),
-                        CommStrategy::NodeAware { .. } => eng.exchange_traffic(),
-                    };
+                    // model input: classify the traffic by the node map
+                    // the world carries, not the strategy's default
+                    let t = eng.schedule().traffic(map);
                     let traffic = RankTraffic {
                         intra_msgs: t.intra_msgs,
                         intra_bytes: t.intra_bytes,

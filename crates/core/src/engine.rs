@@ -30,11 +30,10 @@ use crate::gather::GatherProgram;
 use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
 use crate::modes::KernelMode;
 use crate::partition::RowPartition;
-use crate::plan::{
-    build_node_aware_distributed, build_plan_distributed, CommTraffic, NodeAwarePlan, RankPlan,
-};
+use crate::plan::{build_node_aware_distributed, build_plan_distributed, RankPlan};
+use crate::schedule::{Exchange, HaloSchedule, XOp};
 use crate::split::SplitMatrix;
-use spmv_comm::{Comm, CommError, CommStats, Request, Tag};
+use spmv_comm::{Comm, CommError, CommStats};
 use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
 use spmv_obs::{Phase, RankTrace, TraceSink};
@@ -42,16 +41,6 @@ use spmv_smp::workshare::balanced_chunks;
 use spmv_smp::ThreadTeam;
 use std::ops::Range;
 use std::sync::Mutex;
-
-/// Tag used for direct halo-exchange messages.
-pub(crate) const TAG_HALO: Tag = 17;
-/// Tag for member → leader shipments (node-aware phase 1).
-pub(crate) const TAG_SHIP: Tag = 18;
-/// Tag for leader → leader aggregated wire messages (phase 2).
-pub(crate) const TAG_WIRE: Tag = 19;
-/// Tag base for leader → member forwarded halo slices (phase 3); the
-/// source node id is added so slices from different nodes never collide.
-pub(crate) const TAG_FWD_BASE: Tag = 1024;
 
 /// How the halo exchange is routed (see [`crate::plan::NodeAwarePlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,23 +241,6 @@ impl MutPtr {
     }
 }
 
-/// Raw pointer to the engine's exchange state, handed to the task-mode
-/// communication thread (thread 0 is its only user inside the region).
-#[derive(Clone, Copy)]
-struct ExchangePtr(*mut Exchange);
-// SAFETY: the Exchange outlives the team region that receives the pointer,
-// and only thread 0 (the dedicated comm thread) dereferences it inside
-// that region, so there is never a concurrent second user.
-unsafe impl Send for ExchangePtr {}
-unsafe impl Sync for ExchangePtr {}
-impl ExchangePtr {
-    /// The raw pointer (avoids closure field-capture of the `*mut`).
-    #[inline]
-    fn raw(&self) -> *mut Exchange {
-        self.0
-    }
-}
-
 /// Timestamp for a phase about to run — free when tracing is off (the
 /// clock is only read when a recorder exists).
 #[inline]
@@ -288,53 +260,29 @@ fn rec(trace: Option<&TraceSink>, lane: usize, phase: Phase, t0: f64, bytes: u64
     }
 }
 
+/// Runs one stage of the exchange schedule inside a comm-lane span; an
+/// empty stage records nothing.
+fn stage<'a>(
+    ex: &mut Exchange<'_, 'a>,
+    ops: &[XOp],
+    send_buf: &'a [f64],
+    trace: Option<&TraceSink>,
+    phase: Phase,
+    bytes: u64,
+) -> Result<(), CommError> {
+    if ops.is_empty() {
+        return Ok(());
+    }
+    let t = tnow(trace);
+    let res = ex.run(ops, send_buf);
+    rec(trace, 0, phase, t, bytes, 0);
+    res
+}
+
 /// Nonzeros of a contiguous row chunk (for kernel-span annotations).
 #[inline]
 fn chunk_nnz(mat: &CsrMatrix, r: &Range<usize>) -> u64 {
     (mat.row_ptr()[r.end] - mat.row_ptr()[r.start]) as u64
-}
-
-/// Per-strategy runtime state of the halo exchange.
-enum Exchange {
-    Flat,
-    NodeAware(Box<NodeAwareState>),
-}
-
-/// Persistent node-aware buffers: preallocated once, reused every
-/// exchange — the steady state allocates no payload memory.
-struct NodeAwareState {
-    plan: NodeAwarePlan,
-    /// Leader: per member slot, buffer for the member's shipment (the
-    /// leader's own slot stays empty — its data is read in place).
-    ship_bufs: Vec<Vec<f64>>,
-    /// Leader: one assembly buffer per outgoing wire message.
-    wire_out_bufs: Vec<Vec<f64>>,
-    /// Leader: one landing buffer per incoming wire message.
-    wire_in_bufs: Vec<Vec<f64>>,
-}
-
-impl NodeAwareState {
-    fn new(plan: NodeAwarePlan) -> Self {
-        let me = plan.flat.rank;
-        let (ship_bufs, wire_out_bufs, wire_in_bufs) = match &plan.leader {
-            Some(lp) => (
-                lp.members
-                    .iter()
-                    .zip(&lp.ship_lens)
-                    .map(|(&r, &l)| vec![0.0; if r == me { 0 } else { l }])
-                    .collect(),
-                lp.wire_out.iter().map(|w| vec![0.0; w.len]).collect(),
-                lp.wire_in.iter().map(|w| vec![0.0; w.len]).collect(),
-            ),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        Self {
-            plan,
-            ship_bufs,
-            wire_out_bufs,
-            wire_in_bufs,
-        }
-    }
 }
 
 /// The per-rank engine.
@@ -348,15 +296,13 @@ pub struct RankEngine {
     x_ext: Vec<f64>,
     y: Vec<f64>,
     send_buf: Vec<f64>,
-    // run-length-compressed gather program (strategy-ordered) and its
-    // per-compute-thread run ranges
+    // node-aware leader scratch (shipments and wires; empty otherwise)
+    scratch: Vec<f64>,
+    // the halo exchange of the active strategy, and its run-length-
+    // compressed gather program with per-compute-thread run ranges
+    schedule: HaloSchedule,
     gather_prog: GatherProgram,
     gather_chunks: Vec<Range<usize>>,
-    // per-neighbour segment offsets (flat strategy), precomputed once
-    send_offsets: Vec<usize>,
-    halo_offsets: Vec<usize>,
-    // strategy-specific exchange state
-    exchange: Exchange,
     // per-thread contiguous nonzero-balanced row chunks
     full_chunks: Vec<Range<usize>>,
     local_chunks: Vec<Range<usize>>,
@@ -421,28 +367,16 @@ impl RankEngine {
         let nloc = plan.local_len;
         let halo_len = plan.halo_len();
 
-        let mut gather_indices = Vec::with_capacity(plan.send_len());
-        let mut send_offsets = Vec::with_capacity(plan.send.len() + 1);
-        send_offsets.push(0);
-        for n in &plan.send {
-            gather_indices.extend_from_slice(&n.indices);
-            send_offsets.push(gather_indices.len());
-        }
-
-        // Node-aware strategy: build the hierarchical plan (collective) and
-        // gather in its [intra | ship] send-buffer order instead.
-        let exchange = match cfg.comm_strategy {
-            CommStrategy::Flat => Exchange::Flat,
+        // Node-aware strategy: build the hierarchical plan (collective);
+        // its schedule gathers in [intra | ship] send-buffer order.
+        let schedule = match cfg.comm_strategy {
+            CommStrategy::Flat => HaloSchedule::flat(&plan),
             CommStrategy::NodeAware { .. } => {
                 let map = cfg.comm_strategy.rank_node_map(comm.size());
-                let na = build_node_aware_distributed(&comm, plan.clone(), &map);
-                Exchange::NodeAware(Box::new(NodeAwareState::new(na)))
+                HaloSchedule::node_aware(&build_node_aware_distributed(&comm, plan.clone(), &map))
             }
         };
-        let gather_prog = match &exchange {
-            Exchange::Flat => GatherProgram::compile(&gather_indices),
-            Exchange::NodeAware(st) => GatherProgram::compile(&st.plan.gather_indices),
-        };
+        let gather_prog = GatherProgram::compile(&schedule.gather);
 
         let team_size = cfg.compute_threads + usize::from(cfg.comm_thread);
         let team = if team_size > 1 {
@@ -468,17 +402,16 @@ impl RankEngine {
             kern_full,
             kern_local,
             kern_nonlocal,
-            halo_offsets: plan.halo_offsets(),
             full_chunks: balanced_chunks(mats.full.row_ptr(), c),
             local_chunks: balanced_chunks(mats.local.row_ptr(), c),
             nonlocal_chunks: balanced_chunks(mats.nonlocal.row_ptr(), c),
             x_ext: vec![0.0; nloc + halo_len],
             y: vec![0.0; nloc],
-            send_buf: vec![0.0; gather_indices.len()],
+            send_buf: vec![0.0; schedule.gather.len()],
+            scratch: vec![0.0; schedule.scratch_len()],
             gather_chunks: gather_prog.thread_run_ranges(c),
             gather_prog,
-            send_offsets,
-            exchange,
+            schedule,
             comm,
             plan,
             mats,
@@ -514,17 +447,14 @@ impl RankEngine {
     /// permutation of the node-aware one, so the persistent send buffer
     /// is reused as-is. No-op on an already-flat engine.
     pub fn demote_to_flat(&mut self) {
-        if matches!(self.exchange, Exchange::Flat) {
+        if self.cfg.comm_strategy == CommStrategy::Flat {
             return;
         }
-        let mut gather_indices = Vec::with_capacity(self.plan.send_len());
-        for n in &self.plan.send {
-            gather_indices.extend_from_slice(&n.indices);
-        }
-        debug_assert_eq!(gather_indices.len(), self.send_buf.len());
-        self.gather_prog = GatherProgram::compile(&gather_indices);
+        self.schedule = HaloSchedule::flat(&self.plan);
+        debug_assert_eq!(self.schedule.gather.len(), self.send_buf.len());
+        self.gather_prog = GatherProgram::compile(&self.schedule.gather);
         self.gather_chunks = self.gather_prog.thread_run_ranges(self.cfg.compute_threads);
-        self.exchange = Exchange::Flat;
+        self.scratch = Vec::new();
         self.cfg.comm_strategy = CommStrategy::Flat;
     }
 
@@ -678,47 +608,6 @@ impl RankEngine {
 
     // -- gather + exchange ---------------------------------------------------
 
-    /// Issues all halo receives, returning the requests. Splits the halo
-    /// region of `x_ext` into per-neighbour segments.
-    fn post_receives<'a>(
-        comm: &Comm,
-        plan: &RankPlan,
-        halo_offsets: &[usize],
-        halo: &'a mut [f64],
-    ) -> Vec<Request<'a>> {
-        let mut reqs = Vec::with_capacity(plan.recv.len());
-        let mut rest = halo;
-        let mut consumed = 0usize;
-        for (k, n) in plan.recv.iter().enumerate() {
-            let seg_len = halo_offsets[k + 1] - halo_offsets[k];
-            debug_assert_eq!(halo_offsets[k], consumed);
-            let (seg, tail) = rest.split_at_mut(seg_len);
-            reqs.push(comm.irecv(n.peer, TAG_HALO, seg));
-            rest = tail;
-            consumed += seg_len;
-        }
-        reqs
-    }
-
-    /// Issues all halo sends, borrowing the persistent send buffer
-    /// (rendezvous, no payload copy). The returned requests must be waited
-    /// *after* the matching receives have been waited somewhere. On error
-    /// the already-posted requests are dropped (their cleanup is
-    /// poison-aware).
-    fn post_sends<'a>(
-        comm: &Comm,
-        plan: &RankPlan,
-        send_offsets: &[usize],
-        send_buf: &'a [f64],
-    ) -> Result<Vec<Request<'a>>, CommError> {
-        let mut reqs = Vec::with_capacity(plan.send.len());
-        for (k, n) in plan.send.iter().enumerate() {
-            let seg = &send_buf[send_offsets[k]..send_offsets[k + 1]];
-            reqs.push(comm.try_isend_ref(n.peer, TAG_HALO, seg)?);
-        }
-        Ok(reqs)
-    }
-
     /// Runs the compiled gather program into the send buffer (parallel when
     /// a team exists; compute threads only).
     fn gather_into(
@@ -742,123 +631,6 @@ impl RankEngine {
             }
             None => prog.execute(x_loc, send_buf),
         }
-    }
-
-    /// Phase 1 of the node-aware exchange: direct intra-node sends plus the
-    /// non-leader's single shipment to its leader.
-    fn na_begin<'a>(
-        comm: &Comm,
-        na: &NodeAwarePlan,
-        send_buf: &'a [f64],
-    ) -> Result<Vec<Request<'a>>, CommError> {
-        let mut reqs = Vec::with_capacity(na.intra_send.len() + 1);
-        for (peer, r) in &na.intra_send {
-            reqs.push(comm.try_isend_ref(*peer, TAG_HALO, &send_buf[r.clone()])?);
-        }
-        if !na.is_leader() && !na.ship_range.is_empty() {
-            reqs.push(comm.try_isend_ref(
-                na.leader_rank,
-                TAG_SHIP,
-                &send_buf[na.ship_range.clone()],
-            )?);
-        }
-        Ok(reqs)
-    }
-
-    /// Phases 2–3 of the node-aware exchange. Leaders collect member
-    /// shipments, assemble and exchange the aggregated wire messages, and
-    /// forward per-member slices; every rank then lands its intra-node
-    /// segments and (non-leaders) the forwarded node segments in its halo.
-    ///
-    /// Deadlock-free: all sends are posted (rendezvous-visible) before any
-    /// rank blocks, and the blocking chain shipments → wires → forwards is
-    /// acyclic.
-    #[allow(clippy::too_many_arguments)]
-    fn na_finish<'a>(
-        comm: &Comm,
-        na: &NodeAwarePlan,
-        ship_bufs: &mut [Vec<f64>],
-        wire_out_bufs: &'a mut [Vec<f64>],
-        wire_in_bufs: &'a mut [Vec<f64>],
-        send_buf: &'a [f64],
-        halo: &mut [f64],
-        mut reqs: Vec<Request<'a>>,
-    ) -> Result<(), CommError> {
-        if let Some(lp) = &na.leader {
-            let my_slot = na.flat.rank - lp.members[0];
-            // collect member shipments (their sends are already posted)
-            for (slot, &member) in lp.members.iter().enumerate() {
-                if slot != my_slot && lp.ship_lens[slot] > 0 {
-                    comm.try_recv(member, TAG_SHIP, &mut ship_bufs[slot])?;
-                }
-            }
-            // assemble one wire message per destination node; the leader's
-            // own contribution is read in place from its send buffer
-            let my_ship = &send_buf[na.ship_range.clone()];
-            for (w, buf) in lp.wire_out.iter().zip(wire_out_bufs.iter_mut()) {
-                let mut off = 0usize;
-                for ch in &w.chunks {
-                    let src = if ch.slot == my_slot {
-                        my_ship
-                    } else {
-                        &ship_bufs[ch.slot]
-                    };
-                    buf[off..off + ch.len].copy_from_slice(&src[ch.src_off..ch.src_off + ch.len]);
-                    off += ch.len;
-                }
-                debug_assert_eq!(off, w.len);
-            }
-            let wob: &'a [Vec<f64>] = wire_out_bufs;
-            for (w, buf) in lp.wire_out.iter().zip(wob) {
-                reqs.push(comm.try_isend_ref(w.dest_leader, TAG_WIRE, buf)?);
-            }
-            // receive the aggregated wires from peer leaders
-            for (w, buf) in lp.wire_in.iter().zip(wire_in_bufs.iter_mut()) {
-                comm.try_recv(w.src_leader, TAG_WIRE, buf)?;
-            }
-            // cut each wire into contiguous per-member slices and forward;
-            // the leader's own slice lands directly in its halo
-            let wib: &'a [Vec<f64>] = wire_in_bufs;
-            for (w, buf) in lp.wire_in.iter().zip(wib) {
-                let mut off = 0usize;
-                for (slot, &len) in w.parts.iter().enumerate() {
-                    if len == 0 {
-                        continue;
-                    }
-                    let seg = &buf[off..off + len];
-                    if slot == my_slot {
-                        let r = na
-                            .recv_node_segments
-                            .iter()
-                            .find(|(n, _)| *n == w.node)
-                            .expect("leader wire part has a halo segment")
-                            .1
-                            .clone();
-                        halo[r].copy_from_slice(seg);
-                    } else {
-                        let tag = TAG_FWD_BASE + w.node as Tag;
-                        reqs.push(comm.try_isend_ref(lp.members[slot], tag, seg)?);
-                    }
-                    off += len;
-                }
-                debug_assert_eq!(off, w.len);
-            }
-        }
-        // every rank: direct intra-node segments
-        for (peer, r) in &na.intra_recv {
-            comm.try_recv(*peer, TAG_HALO, &mut halo[r.clone()])?;
-        }
-        // non-leaders: one forwarded slice per remote source node
-        if !na.is_leader() {
-            for (node, r) in &na.recv_node_segments {
-                comm.try_recv(
-                    na.leader_rank,
-                    TAG_FWD_BASE + *node as Tag,
-                    &mut halo[r.clone()],
-                )?;
-            }
-        }
-        comm.try_waitall(reqs)
     }
 
     /// One kernel phase over disjoint per-thread row chunks (or the whole
@@ -910,17 +682,11 @@ impl RankEngine {
         &self.x_ext[self.plan.local_len..]
     }
 
-    /// Predicted per-exchange traffic of this rank under the active
-    /// strategy (flat classifies every off-rank message as inter-node,
-    /// matching a one-rank-per-node map).
-    pub fn exchange_traffic(&self) -> CommTraffic {
-        match &self.exchange {
-            Exchange::Flat => {
-                let map = self.cfg.comm_strategy.rank_node_map(self.comm.size());
-                self.plan.traffic(&map)
-            }
-            Exchange::NodeAware(st) => st.plan.traffic(),
-        }
+    /// The halo-exchange schedule of the active strategy (its
+    /// [`HaloSchedule::traffic`] predicts this rank's per-exchange
+    /// messages and bytes).
+    pub fn schedule(&self) -> &HaloSchedule {
+        &self.schedule
     }
 
     /// Runs the gather + halo exchange alone (no SpMV). Collective — used
@@ -938,66 +704,80 @@ impl RankEngine {
 
     /// Fallible twin of [`Self::halo_exchange`].
     pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
+        self.gather_and_exchange(false)
+    }
+
+    /// Gathers the send buffer and runs the exchange schedule inline, as
+    /// the vector modes do. With `overlap` the local SpMV runs between
+    /// posting the sends and completing the exchange (Fig. 4b).
+    fn gather_and_exchange(&mut self, overlap: bool) -> Result<(), CommError> {
         let nloc = self.plan.local_len;
+        let c = self.cfg.compute_threads;
         let trace = self.trace.as_deref();
         let (x_loc, halo) = self.x_ext.split_at_mut(nloc);
         let x_loc = &*x_loc;
         let t = tnow(trace);
         Self::gather_into(
             &self.team,
-            self.cfg.compute_threads,
+            c,
             &self.gather_prog,
             &self.gather_chunks,
             x_loc,
             &mut self.send_buf,
         );
-        rec(
-            trace,
-            1,
-            Phase::Gather,
-            t,
-            (self.send_buf.len() * 8) as u64,
-            0,
-        );
-        let halo_bytes = (halo.len() * 8) as u64;
         let send_bytes = (self.send_buf.len() * 8) as u64;
-        match &mut self.exchange {
-            Exchange::Flat => {
-                let t = tnow(trace);
-                let rreqs = Self::post_receives(&self.comm, &self.plan, &self.halo_offsets, halo);
-                rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                let t = tnow(trace);
-                let sreqs =
-                    Self::post_sends(&self.comm, &self.plan, &self.send_offsets, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                // all halo data lands here (progress inside the call)
-                let t = tnow(trace);
-                let res = self
-                    .comm
-                    .try_waitall(rreqs)
-                    .and_then(|()| self.comm.try_waitall(sreqs));
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res
-            }
-            Exchange::NodeAware(st) => {
-                let t = tnow(trace);
-                let reqs = Self::na_begin(&self.comm, &st.plan, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                let t = tnow(trace);
-                let res = Self::na_finish(
-                    &self.comm,
-                    &st.plan,
-                    &mut st.ship_bufs,
-                    &mut st.wire_out_bufs,
-                    &mut st.wire_in_bufs,
-                    &self.send_buf,
-                    halo,
-                    reqs,
-                );
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res
-            }
+        rec(trace, 1, Phase::Gather, t, send_bytes, 0);
+        let halo_bytes = (halo.len() * 8) as u64;
+        let send_buf = &self.send_buf[..];
+        let sched = &self.schedule;
+        let mut ex = Exchange::new(sched, &self.comm, halo, &mut self.scratch);
+        stage(
+            &mut ex,
+            sched.pre(),
+            send_buf,
+            trace,
+            Phase::PostRecvs,
+            halo_bytes,
+        )?;
+        stage(
+            &mut ex,
+            sched.begin(),
+            send_buf,
+            trace,
+            Phase::Send,
+            send_bytes,
+        )?;
+        if overlap {
+            // local SpMV (communication does NOT progress meanwhile)
+            let t = tnow(trace);
+            Self::run_kernel_phase(
+                &self.team,
+                c,
+                self.kern_local.as_ref(),
+                &self.mats.local,
+                &self.local_chunks,
+                x_loc,
+                &mut self.y,
+                false,
+            );
+            rec(
+                trace,
+                1,
+                Phase::SpmvLocal,
+                t,
+                0,
+                self.mats.local.nnz() as u64,
+            );
         }
+        // the transfers actually complete here
+        stage(
+            &mut ex,
+            sched.finish(),
+            send_buf,
+            trace,
+            Phase::Waitall,
+            halo_bytes,
+        )
     }
 
     // -- kernels ---------------------------------------------------------------
@@ -1027,117 +807,18 @@ impl RankEngine {
     /// the substrate (like standard MPI) only progresses messages inside
     /// communication calls, so the transfer really happens in `Waitall`.
     fn vector_naive_overlap(&mut self) -> Result<(), CommError> {
-        let nloc = self.plan.local_len;
-        let c = self.cfg.compute_threads;
-        let trace = self.trace.as_deref();
-        let (x_loc, halo) = self.x_ext.split_at_mut(nloc);
-        let x_loc = &*x_loc;
-        let t = tnow(trace);
-        Self::gather_into(
-            &self.team,
-            c,
-            &self.gather_prog,
-            &self.gather_chunks,
-            x_loc,
-            &mut self.send_buf,
-        );
-        rec(
-            trace,
-            1,
-            Phase::Gather,
-            t,
-            (self.send_buf.len() * 8) as u64,
-            0,
-        );
-        let halo_bytes = (halo.len() * 8) as u64;
-        let send_bytes = (self.send_buf.len() * 8) as u64;
-        match &mut self.exchange {
-            Exchange::Flat => {
-                let t = tnow(trace);
-                let rreqs = Self::post_receives(&self.comm, &self.plan, &self.halo_offsets, halo);
-                rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                let t = tnow(trace);
-                let sreqs =
-                    Self::post_sends(&self.comm, &self.plan, &self.send_offsets, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                // local SpMV (communication does NOT progress meanwhile)
-                let t = tnow(trace);
-                Self::run_kernel_phase(
-                    &self.team,
-                    c,
-                    self.kern_local.as_ref(),
-                    &self.mats.local,
-                    &self.local_chunks,
-                    x_loc,
-                    &mut self.y,
-                    false,
-                );
-                rec(
-                    trace,
-                    1,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    self.mats.local.nnz() as u64,
-                );
-                // the transfers actually complete here
-                let t = tnow(trace);
-                let res = self
-                    .comm
-                    .try_waitall(rreqs)
-                    .and_then(|()| self.comm.try_waitall(sreqs));
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res?;
-            }
-            Exchange::NodeAware(st) => {
-                let t = tnow(trace);
-                let reqs = Self::na_begin(&self.comm, &st.plan, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                let t = tnow(trace);
-                Self::run_kernel_phase(
-                    &self.team,
-                    c,
-                    self.kern_local.as_ref(),
-                    &self.mats.local,
-                    &self.local_chunks,
-                    x_loc,
-                    &mut self.y,
-                    false,
-                );
-                rec(
-                    trace,
-                    1,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    self.mats.local.nnz() as u64,
-                );
-                let t = tnow(trace);
-                let res = Self::na_finish(
-                    &self.comm,
-                    &st.plan,
-                    &mut st.ship_bufs,
-                    &mut st.wire_out_bufs,
-                    &mut st.wire_in_bufs,
-                    &self.send_buf,
-                    halo,
-                    reqs,
-                );
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res?;
-            }
-        }
-
+        self.gather_and_exchange(true)?;
         // non-local part accumulates into y (second write — Eq. 2 traffic)
-        let halo = &self.x_ext[nloc..];
+        let nloc = self.plan.local_len;
+        let trace = self.trace.as_deref();
         let t = tnow(trace);
         Self::run_kernel_phase(
             &self.team,
-            c,
+            self.cfg.compute_threads,
             self.kern_nonlocal.as_ref(),
             &self.mats.nonlocal,
             &self.nonlocal_chunks,
-            halo,
+            &self.x_ext[nloc..],
             &mut self.y,
             true,
         );
@@ -1177,21 +858,20 @@ impl RankEngine {
         let x_loc: &[f64] = x_loc_slice;
         let halo_ptr = MutPtr(halo_slice.as_mut_ptr());
         let halo_len = halo_slice.len();
+        let scratch_ptr = MutPtr(self.scratch.as_mut_ptr());
+        let scratch_len = self.scratch.len();
         let yp = MutPtr(self.y.as_mut_ptr());
         let sp = MutPtr(self.send_buf.as_mut_ptr());
         let send_buf_len = self.send_buf.len();
         let prog = &self.gather_prog;
         let gather_chunks = &self.gather_chunks;
         let comm = &self.comm;
-        let plan = &self.plan;
-        let halo_offsets = &self.halo_offsets;
-        let send_offsets = &self.send_offsets;
+        let schedule = &self.schedule;
         let local_chunks = &self.local_chunks;
         let nonlocal_chunks = &self.nonlocal_chunks;
         let mats = &self.mats;
         let kern_local = &self.kern_local;
         let kern_nonlocal = &self.kern_nonlocal;
-        let ex_ptr = ExchangePtr(&mut self.exchange);
         let trace = self.trace.as_deref();
         // First communication fault seen by the comm thread; read back
         // after the region. The comm thread reaches B1/B2 regardless.
@@ -1201,64 +881,46 @@ impl RankEngine {
         team.run(|ctx| {
             if ctx.tid == 0 {
                 // ---- dedicated communication thread (trace lane 0) ----
-                // SAFETY: until B2 the halo region and the exchange state
+                // SAFETY: until B2 the halo region and the leader scratch
                 // are exclusively owned by this thread (compute threads
                 // read only the local part, and the enclosing call blocks
                 // the owner until the region completes).
-                let halo: &mut [f64] =
-                    unsafe { std::slice::from_raw_parts_mut(halo_ptr.raw(), halo_len) };
-                let exchange: &mut Exchange = unsafe { &mut *ex_ptr.raw() };
-                let halo_bytes = (halo_len * 8) as u64;
-                let res = match exchange {
-                    Exchange::Flat => {
-                        let t = tnow(trace);
-                        let rreqs = Self::post_receives(comm, plan, halo_offsets, halo);
-                        rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                        let t = tnow(trace);
-                        ctx.barrier(); // B1: gather finished
-                        rec(trace, 0, Phase::Barrier, t, 0, 0);
-                        // SAFETY: after B1 the gather is complete and no
-                        // compute thread writes the send buffer again this
-                        // step, so a shared read view is sound.
-                        let send_buf: &[f64] =
-                            unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
-                        let t = tnow(trace);
-                        let res = Self::post_sends(comm, plan, send_offsets, send_buf).and_then(
-                            |sreqs| {
-                                // progress here, overlapping compute
-                                comm.try_waitall(rreqs)?;
-                                comm.try_waitall(sreqs)
-                            },
-                        );
-                        // one span for Isend + waits: the overlapped window
-                        rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                        res
-                    }
-                    Exchange::NodeAware(st) => {
-                        let t = tnow(trace);
-                        ctx.barrier(); // B1: gather finished
-                        rec(trace, 0, Phase::Barrier, t, 0, 0);
-                        // SAFETY: same as the flat arm — post-B1 the send
-                        // buffer is read-only for the rest of the step.
-                        let send_buf: &[f64] =
-                            unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
-                        let t = tnow(trace);
-                        let res = Self::na_begin(comm, &st.plan, send_buf).and_then(|reqs| {
-                            Self::na_finish(
-                                comm,
-                                &st.plan,
-                                &mut st.ship_bufs,
-                                &mut st.wire_out_bufs,
-                                &mut st.wire_in_bufs,
-                                send_buf,
-                                halo,
-                                reqs,
-                            )
-                        });
-                        rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                        res
-                    }
+                let (halo, scratch) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(halo_ptr.raw(), halo_len),
+                        std::slice::from_raw_parts_mut(scratch_ptr.raw(), scratch_len),
+                    )
                 };
+                let halo_bytes = (halo_len * 8) as u64;
+                let mut ex = Exchange::new(schedule, comm, halo, scratch);
+                // posted receives never read the send buffer: post them
+                // while the compute threads gather
+                let pre = stage(
+                    &mut ex,
+                    schedule.pre(),
+                    &[],
+                    trace,
+                    Phase::PostRecvs,
+                    halo_bytes,
+                );
+                let t = tnow(trace);
+                ctx.barrier(); // B1: gather finished
+                rec(trace, 0, Phase::Barrier, t, 0, 0);
+                // SAFETY: after B1 the gather is complete and no compute
+                // thread writes the send buffer again this step, so a
+                // shared read view is sound.
+                let send_buf: &[f64] =
+                    unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
+                // progress here, overlapping compute; one span for the
+                // sends and waits: the overlapped window
+                let t = tnow(trace);
+                let res = pre
+                    .and_then(|()| ex.run(schedule.begin(), send_buf))
+                    .and_then(|()| ex.run(schedule.finish(), send_buf));
+                // settle any request a fault left in flight before B2
+                // hands the halo to the compute threads
+                drop(ex);
+                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
                 if let Err(e) = res {
                     *comm_err
                         .lock()
@@ -1620,16 +1282,18 @@ mod tests {
     }
 
     #[test]
-    fn exchange_traffic_prediction_matches_strategy() {
+    fn schedule_traffic_prediction_matches_strategy() {
         let m = synthetic::random_banded_symmetric(400, 80, 5.0, 7);
-        let cfg_na = EngineConfig::pure_mpi()
-            .with_comm_strategy(CommStrategy::NodeAware { ranks_per_node: 4 });
-        let traffic = crate::runner::run_spmd(&m, 8, cfg_na, |eng| eng.exchange_traffic());
-        let total_inter: usize = traffic.iter().map(|t| t.inter_msgs).sum();
-        let cfg_flat = EngineConfig::pure_mpi().with_comm_strategy(CommStrategy::Flat);
-        let flat_traffic = crate::runner::run_spmd(&m, 8, cfg_flat, |eng| eng.exchange_traffic());
-        let flat_inter: usize = flat_traffic.iter().map(|t| t.inter_msgs).sum();
-        assert!(total_inter < flat_inter, "{total_inter} vs {flat_inter}");
+        let map = spmv_machine::RankNodeMap::contiguous(8, 4);
+        let inter_msgs = |strategy| {
+            let cfg = EngineConfig::pure_mpi().with_comm_strategy(strategy);
+            crate::runner::run_spmd(&m, 8, cfg, |eng| eng.schedule().traffic(&map).inter_msgs)
+                .iter()
+                .sum::<usize>()
+        };
+        let na = inter_msgs(CommStrategy::NodeAware { ranks_per_node: 4 });
+        let flat = inter_msgs(CommStrategy::Flat);
+        assert!(na < flat, "{na} vs {flat}");
     }
 
     #[test]

@@ -18,14 +18,18 @@
 //!    non-overlapping kernel) and split into *local* and *non-local* parts
 //!    (for the overlapping kernels, at the cost of writing the result twice
 //!    — Eq. 2).
-//! 4. [`engine::RankEngine`] — executes one SpMV in any [`modes::KernelMode`]:
+//! 4. [`schedule::HaloSchedule`] — the halo exchange of one rank as one
+//!    ordered op list, built from the flat or the node-aware plan; the
+//!    engine runs it, and the plan verifier, the interleaving explorer and
+//!    the traffic accounting read it.
+//! 5. [`engine::RankEngine`] — executes one SpMV in any [`modes::KernelMode`]:
 //!    * **vector mode, no overlap** (Fig. 4a),
 //!    * **vector mode, naive overlap** via nonblocking calls (Fig. 4b),
 //!    * **task mode, explicit overlap** via a dedicated communication
 //!      thread (Fig. 4c).
-//! 5. [`runner`] — spawns one OS thread per MPI rank and drives whole jobs
+//! 6. [`runner`] — spawns one OS thread per MPI rank and drives whole jobs
 //!    (the harness tests and examples use this).
-//! 6. [`workload::RankWorkload`] — the per-rank compute/communication
+//! 7. [`workload::RankWorkload`] — the per-rank compute/communication
 //!    volumes the discrete-event simulator prices.
 
 pub mod engine;
@@ -36,6 +40,7 @@ pub mod node;
 pub mod partition;
 pub mod plan;
 pub mod runner;
+pub mod schedule;
 pub mod split;
 pub mod symmetric;
 pub mod verify;
@@ -48,6 +53,7 @@ pub use modes::KernelMode;
 pub use partition::RowPartition;
 pub use plan::{CommTraffic, NodeAwarePlan, RankPlan};
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};
+pub use schedule::HaloSchedule;
 pub use split::SplitMatrix;
 pub use symmetric::{parallel_symmetric_spmv, SymmetricWorkspace};
 pub use verify::{verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation};

@@ -85,11 +85,6 @@ impl RankPlan {
         out
     }
 
-    /// Number of messages this rank sends per SpMV.
-    pub fn messages_out(&self) -> usize {
-        self.send.len()
-    }
-
     /// Bytes this rank sends per SpMV (8-byte elements).
     pub fn bytes_out(&self) -> usize {
         self.send_len() * 8
@@ -276,26 +271,6 @@ impl CommTraffic {
     }
 }
 
-impl RankPlan {
-    /// The traffic this rank sends per exchange under the *flat* strategy,
-    /// classified by the node map: one message per neighbour, each crossing
-    /// the network iff the peer lives on another node.
-    pub fn traffic(&self, map: &RankNodeMap) -> CommTraffic {
-        let mut t = CommTraffic::default();
-        for n in &self.send {
-            let bytes = n.indices.len() * 8;
-            if map.same_node(self.rank, n.peer) {
-                t.intra_msgs += 1;
-                t.intra_bytes += bytes;
-            } else {
-                t.inter_msgs += 1;
-                t.inter_bytes += bytes;
-            }
-        }
-        t
-    }
-}
-
 /// One assembly block copy on a leader: `len` elements starting at
 /// `src_off` of member `slot`'s shipped buffer, appended to the wire
 /// message being built.
@@ -401,41 +376,6 @@ impl NodeAwarePlan {
     /// Whether this rank leads its node.
     pub fn is_leader(&self) -> bool {
         self.leader.is_some()
-    }
-
-    /// Elements this rank ships to its leader per exchange.
-    pub fn ship_len(&self) -> usize {
-        self.ship_range.len()
-    }
-
-    /// The traffic this rank sends per exchange under the node-aware
-    /// strategy (intra: direct segments + shipment + leader forwards;
-    /// inter: the leader's wire messages only).
-    pub fn traffic(&self) -> CommTraffic {
-        let mut t = CommTraffic::default();
-        for (_, r) in &self.intra_send {
-            t.intra_msgs += 1;
-            t.intra_bytes += r.len() * 8;
-        }
-        if !self.is_leader() && !self.ship_range.is_empty() {
-            t.intra_msgs += 1;
-            t.intra_bytes += self.ship_range.len() * 8;
-        }
-        if let Some(lp) = &self.leader {
-            for w in &lp.wire_out {
-                t.inter_msgs += 1;
-                t.inter_bytes += w.len * 8;
-            }
-            for wi in &lp.wire_in {
-                for (slot, &len) in wi.parts.iter().enumerate() {
-                    if len > 0 && lp.members[slot] != self.flat.rank {
-                        t.intra_msgs += 1;
-                        t.intra_bytes += len * 8;
-                    }
-                }
-            }
-        }
-        t
     }
 }
 
@@ -710,6 +650,7 @@ pub fn build_node_aware_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::HaloSchedule;
     use spmv_comm::CommWorld;
     use spmv_matrix::synthetic;
     use std::sync::Arc;
@@ -802,7 +743,7 @@ mod tests {
         for plan in build_plans_serial(&m, &p) {
             assert_eq!(plan.halo_len(), 0);
             assert_eq!(plan.send_len(), 0);
-            assert_eq!(plan.messages_out(), 0);
+            assert!(plan.send.is_empty());
         }
     }
 
@@ -842,9 +783,10 @@ mod tests {
         let m = synthetic::tridiagonal(10, 2.0, -1.0);
         let p = RowPartition::by_rows(10, 2);
         let plans = build_plans_serial(&m, &p);
+        let t = HaloSchedule::flat(&plans[0]).traffic(&RankNodeMap::contiguous(2, 1));
+        assert_eq!((t.inter_msgs, t.inter_bytes), (1, 8));
         assert_eq!(plans[0].bytes_in(), 8);
         assert_eq!(plans[0].bytes_out(), 8);
-        assert_eq!(plans[0].messages_out(), 1);
     }
 
     /// Structural invariants every node-aware plan set must satisfy.
@@ -880,7 +822,7 @@ mod tests {
         for p in na.iter().filter(|p| p.is_leader()) {
             let lp = p.leader.as_ref().unwrap();
             for (slot, &r) in lp.members.iter().enumerate() {
-                assert_eq!(lp.ship_lens[slot], na[r].ship_len());
+                assert_eq!(lp.ship_lens[slot], na[r].ship_range.len());
             }
             for w in &lp.wire_out {
                 assert!(w.len > 0, "empty wire messages must be elided");
@@ -908,11 +850,11 @@ mod tests {
         // node-aware must not send more inter-node messages than flat
         let flat_total: CommTraffic = plans
             .iter()
-            .map(|p| p.traffic(map))
+            .map(|p| HaloSchedule::flat(p).traffic(map))
             .fold(CommTraffic::default(), |a, b| a.add(&b));
         let na_total: CommTraffic = na
             .iter()
-            .map(|p| p.traffic())
+            .map(|p| HaloSchedule::node_aware(p).traffic(map))
             .fold(CommTraffic::default(), |a, b| a.add(&b));
         assert!(na_total.inter_msgs <= flat_total.inter_msgs);
         assert_eq!(
@@ -948,8 +890,14 @@ mod tests {
         let plans = build_plans_serial(&m, &p);
         let map = RankNodeMap::contiguous(8, 4);
         let na = build_node_aware_serial(&plans, &map);
-        let flat_inter: usize = plans.iter().map(|p| p.traffic(&map).inter_msgs).sum();
-        let na_inter: usize = na.iter().map(|p| p.traffic()).map(|t| t.inter_msgs).sum();
+        let flat_inter: usize = plans
+            .iter()
+            .map(|p| HaloSchedule::flat(p).traffic(&map).inter_msgs)
+            .sum();
+        let na_inter: usize = na
+            .iter()
+            .map(|p| HaloSchedule::node_aware(p).traffic(&map).inter_msgs)
+            .sum();
         assert!(
             na_inter < flat_inter,
             "aggregation should cut inter-node messages ({na_inter} vs {flat_inter})"
@@ -968,7 +916,7 @@ mod tests {
         for p in &na {
             assert!(p.ship_range.is_empty());
             assert!(p.recv_node_segments.is_empty());
-            let t = p.traffic();
+            let t = HaloSchedule::node_aware(p).traffic(&map);
             assert_eq!(t.inter_msgs, 0);
             if let Some(lp) = &p.leader {
                 assert!(lp.wire_out.is_empty());

@@ -13,8 +13,9 @@
 //! * the node-aware ship → wire → forward schedule is acyclic (a wire
 //!   message routed back into its own node would deadlock the leader);
 //! * the whole exchange is deadlock-free under nonblocking semantics,
-//!   established by running the per-rank operation schedules — the exact
-//!   order `RankEngine` issues them — to a fixed point.
+//!   established by running the per-rank blocking-op lists to a fixed
+//!   point. They are derived from the same [`HaloSchedule`]s `RankEngine`
+//!   executes, so the proof covers the exchange the engine runs.
 //!
 //! Violations are typed [`PlanViolation`]s naming rank, peer, tag, and
 //! byte counts, so a corrupted plan fails with an actionable diagnostic
@@ -23,8 +24,8 @@
 //! [`EngineConfig::with_verification`](crate::engine::EngineConfig::with_verification)
 //! is on (the default in debug builds).
 
-use crate::engine::{TAG_FWD_BASE, TAG_HALO, TAG_SHIP, TAG_WIRE};
 use crate::plan::{build_node_aware_serial, NodeAwarePlan, RankPlan};
+use crate::schedule::{HaloSchedule, Msg, XOp};
 use spmv_comm::{Comm, Tag};
 use spmv_machine::RankNodeMap;
 use std::collections::BTreeMap;
@@ -224,117 +225,38 @@ enum Op {
     SendWait { dst: usize, tag: Tag },
 }
 
-/// The flat exchange schedule of one rank, mirroring
-/// `RankEngine::post_receives` / `post_sends` / waitall: all receives are
-/// posted nonblocking before anything blocks, so the blocking suffix is
-/// just the recv waits followed by the send waits.
-fn flat_ops(plan: &RankPlan) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(2 * (plan.recv.len() + plan.send.len()));
-    for n in &plan.send {
-        ops.push(Op::SendPost {
-            dst: n.peer,
-            tag: TAG_HALO,
-            bytes: n.indices.len() * 8,
-        });
-    }
-    for n in &plan.recv {
-        ops.push(Op::RecvBlock {
-            src: n.peer,
-            tag: TAG_HALO,
-            bytes: n.indices.len() * 8,
-        });
-    }
-    for n in &plan.send {
-        ops.push(Op::SendWait {
-            dst: n.peer,
-            tag: TAG_HALO,
-        });
-    }
-    ops
-}
-
-/// The node-aware exchange schedule of one rank, mirroring
-/// `RankEngine::na_begin` / `na_finish` exactly: intra sends and the
-/// shipment are posted first; a leader then *blocks* on member shipments
-/// before posting wires — the mid-schedule block that makes the acyclicity
-/// of ship → wire → forward a real proof obligation.
-fn node_aware_ops(na: &NodeAwarePlan) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut posted: Vec<(usize, Tag)> = Vec::new();
-    for (peer, r) in &na.intra_send {
-        ops.push(Op::SendPost {
-            dst: *peer,
-            tag: TAG_HALO,
-            bytes: r.len() * 8,
-        });
-        posted.push((*peer, TAG_HALO));
-    }
-    if !na.is_leader() && !na.ship_range.is_empty() {
-        ops.push(Op::SendPost {
-            dst: na.leader_rank,
-            tag: TAG_SHIP,
-            bytes: na.ship_range.len() * 8,
-        });
-        posted.push((na.leader_rank, TAG_SHIP));
-    }
-    if let Some(lp) = &na.leader {
-        let my_slot = na.flat.rank - lp.members[0];
-        for (slot, &member) in lp.members.iter().enumerate() {
-            if slot != my_slot && lp.ship_lens[slot] > 0 {
-                ops.push(Op::RecvBlock {
-                    src: member,
-                    tag: TAG_SHIP,
-                    bytes: lp.ship_lens[slot] * 8,
+/// The blocking-op list of one rank's exchange schedule: sends post where
+/// the schedule posts them, blocking receives block in place, and the
+/// schedule's `WaitAll` blocks on every posted receive, then on every
+/// posted send. Local copies neither post nor block.
+fn blocking_ops(schedule: &HaloSchedule) -> Vec<Op> {
+    let bytes = |m: &Msg| m.range.len() * 8;
+    let recv = |m: &Msg| Op::RecvBlock {
+        src: m.peer,
+        tag: m.tag,
+        bytes: bytes(m),
+    };
+    let mut ops = Vec::with_capacity(2 * schedule.ops.len());
+    let (mut recvs, mut sends) = (Vec::new(), Vec::new());
+    for op in &schedule.ops {
+        match op {
+            XOp::PostRecv(m) => recvs.push(recv(m)),
+            XOp::Recv(m) => ops.push(recv(m)),
+            XOp::Send(m) => {
+                let (dst, tag) = (m.peer, m.tag);
+                ops.push(Op::SendPost {
+                    dst,
+                    tag,
+                    bytes: bytes(m),
                 });
+                sends.push(Op::SendWait { dst, tag });
+            }
+            XOp::Copy { .. } => {}
+            XOp::WaitAll => {
+                ops.append(&mut recvs);
+                ops.append(&mut sends);
             }
         }
-        for w in &lp.wire_out {
-            ops.push(Op::SendPost {
-                dst: w.dest_leader,
-                tag: TAG_WIRE,
-                bytes: w.len * 8,
-            });
-            posted.push((w.dest_leader, TAG_WIRE));
-        }
-        for w in &lp.wire_in {
-            ops.push(Op::RecvBlock {
-                src: w.src_leader,
-                tag: TAG_WIRE,
-                bytes: w.len * 8,
-            });
-        }
-        for w in &lp.wire_in {
-            for (slot, &len) in w.parts.iter().enumerate() {
-                if len > 0 && slot != my_slot {
-                    let tag = TAG_FWD_BASE + w.node as Tag;
-                    ops.push(Op::SendPost {
-                        dst: lp.members[slot],
-                        tag,
-                        bytes: len * 8,
-                    });
-                    posted.push((lp.members[slot], tag));
-                }
-            }
-        }
-    }
-    for (peer, r) in &na.intra_recv {
-        ops.push(Op::RecvBlock {
-            src: *peer,
-            tag: TAG_HALO,
-            bytes: r.len() * 8,
-        });
-    }
-    if !na.is_leader() {
-        for (node, r) in &na.recv_node_segments {
-            ops.push(Op::RecvBlock {
-                src: na.leader_rank,
-                tag: TAG_FWD_BASE + *node as Tag,
-                bytes: r.len() * 8,
-            });
-        }
-    }
-    for (dst, tag) in posted {
-        ops.push(Op::SendWait { dst, tag });
     }
     ops
 }
@@ -530,7 +452,13 @@ fn verify_world(
 pub fn verify_flat(plans: &[RankPlan]) -> Result<PlanSummary, Vec<PlanViolation>> {
     let mut violations = Vec::new();
     check_ownership(plans, &mut violations);
-    verify_world(plans.iter().map(flat_ops).collect(), violations)
+    verify_world(
+        plans
+            .iter()
+            .map(|p| blocking_ops(&HaloSchedule::flat(p)))
+            .collect(),
+        violations,
+    )
 }
 
 /// Verifies a whole world of node-aware plans (`plans[r].flat.rank == r`):
@@ -571,7 +499,13 @@ pub fn verify_node_aware(plans: &[NodeAwarePlan]) -> Result<PlanSummary, Vec<Pla
             }
         }
     }
-    verify_world(plans.iter().map(node_aware_ops).collect(), violations)
+    verify_world(
+        plans
+            .iter()
+            .map(|p| blocking_ops(&HaloSchedule::node_aware(p)))
+            .collect(),
+        violations,
+    )
 }
 
 // -- distributed entry point ------------------------------------------------
@@ -650,6 +584,7 @@ mod tests {
     use super::*;
     use crate::partition::RowPartition;
     use crate::plan::build_plans_serial;
+    use crate::schedule::TAG_HALO;
     use spmv_matrix::synthetic;
 
     fn world(n: usize, ranks: usize) -> Vec<RankPlan> {

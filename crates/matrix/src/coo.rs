@@ -62,25 +62,34 @@ impl CooMatrix {
             return Err(MatrixError::DimensionTooLarge { ncols: self.ncols });
         }
         // Counting sort by row, then sort each row by column and coalesce.
-        let mut counts = vec![0usize; self.nrows + 1];
+        // The row dimension may come from an untrusted file header, so the
+        // per-row arrays are reserved fallibly.
+        let rows1 = self.nrows.checked_add(1).ok_or(MatrixError::TooLarge {
+            what: "row pointers",
+            len: self.nrows,
+        })?;
+        let mut row_ptr = try_zeros(rows1)?;
         for &(r, _, _) in &self.entries {
-            counts[r + 1] += 1;
+            row_ptr[r + 1] += 1;
         }
         for i in 0..self.nrows {
-            counts[i + 1] += counts[i];
+            row_ptr[i + 1] += row_ptr[i];
         }
         let mut by_row: Vec<(u32, f64)> = vec![(0, 0.0); self.entries.len()];
-        let mut next = counts.clone();
+        let mut next = try_zeros(rows1)?;
+        next.copy_from_slice(&row_ptr);
         for &(r, c, v) in &self.entries {
             by_row[next[r]] = (c as u32, v);
             next[r] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0usize);
         let mut col_idx = Vec::with_capacity(self.entries.len());
         let mut values = Vec::with_capacity(self.entries.len());
+        // after the scatter next[i] is the end of row i's entries;
+        // row_ptr[i + 1] is rewritten below to the coalesced end
+        let mut start = 0;
         for i in 0..self.nrows {
-            let row = &mut by_row[counts[i]..counts[i + 1]];
+            let row = &mut by_row[start..next[i]];
+            start = next[i];
             row.sort_unstable_by_key(|&(c, _)| c);
             let mut k = 0;
             while k < row.len() {
@@ -94,7 +103,7 @@ impl CooMatrix {
                 values.push(v);
                 k = k2;
             }
-            row_ptr.push(col_idx.len());
+            row_ptr[i + 1] = col_idx.len();
         }
         Ok(CsrMatrix::from_parts_unchecked(
             self.nrows, self.ncols, row_ptr, col_idx, values,
@@ -109,6 +118,19 @@ impl CooMatrix {
             entries: m.triplets().collect(),
         }
     }
+}
+
+/// `len` zeroed row counters, or [`MatrixError::TooLarge`] when they cannot
+/// be allocated.
+fn try_zeros(len: usize) -> Result<Vec<usize>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| MatrixError::TooLarge {
+            what: "row pointers",
+            len,
+        })?;
+    v.resize(len, 0);
+    Ok(v)
 }
 
 #[cfg(test)]

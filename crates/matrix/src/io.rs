@@ -140,7 +140,9 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix> {
             "expected {nnz} entries, read {read}"
         )));
     }
+    // the size line declared the dimensions `to_csr` allocates for
     coo.to_csr()
+        .map_err(|e| err_at(size_line_no, e.to_string()))
 }
 
 /// Writes a matrix in Matrix Market `coordinate real general` format.
@@ -230,17 +232,20 @@ pub fn read_binary<R: std::io::Read>(r: R) -> Result<CsrMatrix> {
             msg: "implausible dimensions in header".into(),
         });
     }
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    // The arrays grow as data arrives rather than being sized from the
+    // header: a header claiming more than the stream holds then fails at
+    // the first missing read instead of allocating for its claim.
+    let mut row_ptr = Vec::new();
     for _ in 0..=nrows {
         row_ptr.push(r.read_u64()? as usize);
     }
-    let mut col_idx = Vec::with_capacity(nnz);
+    let mut col_idx = Vec::new();
     for _ in 0..nnz {
         let mut b = [0u8; 4];
         r.read_exact(&mut b)?;
         col_idx.push(u32::from_le_bytes(b));
     }
-    let mut values = Vec::with_capacity(nnz);
+    let mut values = Vec::new();
     for _ in 0..nnz {
         let mut b = [0u8; 8];
         r.read_exact(&mut b)?;
@@ -429,6 +434,71 @@ mod tests {
             matches!(err, MatrixError::BinaryAt { offset, .. } if offset == expect),
             "{err}"
         );
+    }
+
+    #[test]
+    fn hostile_headers_are_typed_errors_not_aborts() {
+        // 10^12 rows: the row pointers alone would take 8 TB
+        let err =
+            parse("%%MatrixMarket matrix coordinate real general\n1000000000000 3 1\n1 1 1.0\n")
+                .unwrap_err();
+        assert!(matches!(err, MatrixError::ParseAt { line: 2, .. }), "{err}");
+        // usize::MAX rows must not overflow the row-pointer length
+        let err = parse(&format!(
+            "%%MatrixMarket matrix coordinate real general\n{} 3 1\n1 1 1.0\n",
+            usize::MAX
+        ))
+        .unwrap_err();
+        assert!(matches!(err, MatrixError::ParseAt { line: 2, .. }), "{err}");
+        // a bare 32-byte header claiming 2^39 rows: fails at the first
+        // missing row pointer instead of reserving 4.4 TB
+        let mut buf = BINARY_MAGIC.to_vec();
+        for v in [1u64 << 39, 4, 0] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert!(
+            matches!(err, MatrixError::BinaryAt { offset: 32, .. }),
+            "{err}"
+        );
+    }
+
+    /// Applies 1–3 random byte edits (overwrite, delete, or truncate).
+    /// No edit inserts bytes, so a mutant's size line can only merge a few
+    /// short numbers: no case declares dimensions large enough to make a
+    /// real allocation attempt.
+    fn mutate(rng: &mut crate::rng::Rng64, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..1 + rng.gen_index(3) {
+            if out.is_empty() {
+                break;
+            }
+            let at = rng.gen_index(out.len());
+            match rng.gen_index(3) {
+                0 => out[at] = rng.gen_index(256) as u8,
+                1 => {
+                    out.remove(at);
+                }
+                _ => out.truncate(at),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn mutated_inputs_yield_a_matrix_or_a_typed_error() {
+        let m = crate::synthetic::random_banded_symmetric(24, 4, 3.0, 9);
+        let (mut text, mut bin) = (Vec::new(), Vec::new());
+        write_matrix_market(&m, &mut text).unwrap();
+        write_binary(&m, &mut bin).unwrap();
+        for case in 0..256u64 {
+            let mut rng = crate::rng::Rng64::new(0x10F0 + case);
+            let t = mutate(&mut rng, &text);
+            let b = mutate(&mut rng, &bin);
+            // Ok or Err are both fine; a panic fails the test
+            let _ = read_matrix_market(BufReader::new(&t[..]));
+            let _ = read_binary(&b[..]);
+        }
     }
 
     #[test]

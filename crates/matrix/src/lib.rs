@@ -77,6 +77,9 @@ pub enum MatrixError {
     BinaryAt { offset: u64, msg: String },
     /// A permutation vector is not a bijection on `0..n`.
     InvalidPermutation { n: usize, detail: &'static str },
+    /// An array sized by the input's declared dimensions cannot be
+    /// allocated.
+    TooLarge { what: &'static str, len: usize },
 }
 
 impl std::fmt::Display for MatrixError {
@@ -110,6 +113,9 @@ impl std::fmt::Display for MatrixError {
             }
             MatrixError::InvalidPermutation { n, detail } => {
                 write!(f, "invalid permutation of length {n}: {detail}")
+            }
+            MatrixError::TooLarge { what, len } => {
+                write!(f, "cannot allocate {len} {what}")
             }
         }
     }

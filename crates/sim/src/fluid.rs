@@ -22,6 +22,7 @@ use spmv_core::RankWorkload;
 use spmv_machine::network::TorusLink;
 use spmv_machine::topology::ClusterSpec;
 use spmv_machine::LayoutPlan;
+use spmv_obs::Phase;
 use std::collections::HashMap;
 
 /// Result of one simulated SpMV.
@@ -60,7 +61,7 @@ struct Lane {
     /// Compute threads backing Draining ops, per global LD id.
     threads_per_ld: Vec<(usize, f64)>,
     seg_start: f64,
-    seg_label: &'static str,
+    seg_phase: Option<Phase>,
 }
 
 impl Lane {
@@ -148,7 +149,7 @@ pub fn simulate_spmv(
                 state: LaneState::Ready,
                 threads_per_ld: tpl,
                 seg_start: 0.0,
-                seg_label: "",
+                seg_phase: None,
             });
         }
     }
@@ -228,19 +229,21 @@ pub fn simulate_spmv(
     // Zero-time state cascade. Returns when no lane can make progress
     // without time passing.
     macro_rules! record_segment {
-        ($lane:expr, $label:expr) => {
+        ($lane:expr, $phase:expr) => {
             if let Some(t) = trace.as_mut() {
-                if !$lane.seg_label.is_empty() && now > $lane.seg_start {
-                    t.events.push(TraceEvent {
-                        rank: $lane.rank,
-                        lane: $lane.lane_idx,
-                        label: $lane.seg_label,
-                        t0: $lane.seg_start,
-                        t1: now,
-                    });
+                if let Some(phase) = $lane.seg_phase {
+                    if now > $lane.seg_start {
+                        t.events.push(TraceEvent {
+                            rank: $lane.rank,
+                            lane: $lane.lane_idx,
+                            phase,
+                            t0: $lane.seg_start,
+                            t1: now,
+                        });
+                    }
                 }
                 $lane.seg_start = now;
-                $lane.seg_label = $label;
+                $lane.seg_phase = $phase;
             }
         };
     }
@@ -253,35 +256,22 @@ pub fn simulate_spmv(
             let mut changed = false;
             for li in 0..lanes.len() {
                 // take lane state decisions one at a time
-                let (advance, label): (bool, &'static str) = {
+                let advance = {
                     let lane = &lanes[li];
                     match &lane.state {
-                        LaneState::Done => (false, ""),
-                        LaneState::Ready => (true, ""),
-                        LaneState::Timed { remaining_s } if *remaining_s <= 1e-18 => (true, ""),
-                        LaneState::Draining { remaining_bytes } if *remaining_bytes <= 1e-9 => {
-                            (true, "")
-                        }
+                        LaneState::Done => false,
+                        LaneState::Ready => true,
+                        LaneState::Timed { remaining_s } => *remaining_s <= 1e-18,
+                        LaneState::Draining { remaining_bytes } => *remaining_bytes <= 1e-9,
                         LaneState::Waiting => {
                             let r = lane.rank;
-                            if incoming_pending[r] == 0 && outgoing_rdv_pending[r] == 0 {
-                                (true, "")
-                            } else {
-                                (false, "")
-                            }
+                            incoming_pending[r] == 0 && outgoing_rdv_pending[r] == 0
                         }
                         LaneState::Barrier(k) => {
-                            let arrived = *barrier_arrivals.get(&(lane.rank, *k)).unwrap_or(&0);
-                            if arrived >= 2 {
-                                (true, "")
-                            } else {
-                                (false, "")
-                            }
+                            *barrier_arrivals.get(&(lane.rank, *k)).unwrap_or(&0) >= 2
                         }
-                        _ => (false, ""),
                     }
                 };
-                let _ = label;
                 if !advance {
                     continue;
                 }
@@ -322,7 +312,7 @@ pub fn simulate_spmv(
                 // enter the next op (or finish)
                 let lane = &mut lanes[li];
                 if lane.pc >= lane.ops.len() {
-                    record_segment!(lane, "");
+                    record_segment!(lane, None);
                     lane.state = LaneState::Done;
                     lanes_done += 1;
                     rank_finish[lane.rank] = rank_finish[lane.rank].max(now);
@@ -332,35 +322,35 @@ pub fn simulate_spmv(
                 let op = lane.ops[lane.pc].clone();
                 match op {
                     Op::PostRecvs => {
-                        record_segment!(lane, "post recvs");
+                        record_segment!(lane, Some(Phase::PostRecvs));
                         lane.state = LaneState::Timed {
                             remaining_s: w.recvs.len() as f64 * cfg.post_overhead_s,
                         };
                     }
                     Op::SendAll => {
-                        record_segment!(lane, "send");
+                        record_segment!(lane, Some(Phase::Send));
                         lane.state = LaneState::Timed {
                             remaining_s: w.sends.len() as f64 * cfg.post_overhead_s,
                         };
                     }
                     Op::Gather => {
-                        record_segment!(lane, "gather");
+                        record_segment!(lane, Some(Phase::Gather));
                         lane.state = LaneState::Draining {
                             remaining_bytes: gather_cost_bytes(w),
                         };
                     }
-                    Op::Compute { bytes, label } => {
-                        record_segment!(lane, label);
+                    Op::Compute { bytes, phase } => {
+                        record_segment!(lane, Some(phase));
                         lane.state = LaneState::Draining {
                             remaining_bytes: bytes,
                         };
                     }
                     Op::WaitAll => {
-                        record_segment!(lane, "waitall");
+                        record_segment!(lane, Some(Phase::Waitall));
                         lane.state = LaneState::Waiting;
                     }
                     Op::TeamBarrier(k) => {
-                        record_segment!(lane, "barrier");
+                        record_segment!(lane, Some(Phase::Barrier));
                         *barrier_arrivals.entry((lane.rank, k)).or_insert(0) += 1;
                         lane.state = LaneState::Barrier(k);
                     }
@@ -832,7 +822,8 @@ mod tests {
             &SimConfig::new(KernelMode::TaskMode).with_trace(),
         );
         let t = r.trace.expect("trace requested");
-        let labels: std::collections::HashSet<_> = t.events.iter().map(|e| e.label).collect();
+        let labels: std::collections::HashSet<_> =
+            t.events.iter().map(|e| e.phase.label()).collect();
         assert!(labels.contains("waitall"));
         assert!(labels.contains("spmv(local)"));
         assert!(labels.contains("spmv(nonlocal)"));

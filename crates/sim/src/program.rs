@@ -18,6 +18,7 @@
 
 use crate::progress::ProgressModel;
 use spmv_core::{KernelMode, RankWorkload};
+use spmv_obs::Phase;
 
 /// One activity in a lane program.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +37,8 @@ pub enum Op {
     Compute {
         /// Traffic volume of the phase in bytes.
         bytes: f64,
-        /// Phase label for traces.
-        label: &'static str,
+        /// The phase it shows as in traces.
+        phase: Phase,
     },
     /// Intra-rank barrier between the rank's two lanes (task mode).
     TeamBarrier(u8),
@@ -125,11 +126,11 @@ pub fn build_program(workload: &RankWorkload, cfg: &SimConfig) -> RankProgram {
     let w = workload;
     let full = Op::Compute {
         bytes: phase_bytes(w.nnz(), w.rows, w.rows + w.halo_elems, cfg.kappa),
-        label: "spmv(full)",
+        phase: Phase::SpmvFull,
     };
     let local = Op::Compute {
         bytes: phase_bytes(w.local_nnz, w.rows, w.rows, cfg.kappa),
-        label: "spmv(local)",
+        phase: Phase::SpmvLocal,
     };
     // The non-local phase re-writes the whole result vector — that second
     // write is exactly the Eq.-2 delta. κ applies to *all* nonzeros, as in
@@ -137,7 +138,7 @@ pub fn build_program(workload: &RankWorkload, cfg: &SimConfig) -> RankProgram {
     // for strongly coupled matrices the halo is far from cache-resident.
     let nonlocal = Op::Compute {
         bytes: phase_bytes(w.nonlocal_nnz, w.rows, w.halo_elems, cfg.kappa),
-        label: "spmv(nonlocal)",
+        phase: Phase::SpmvNonlocal,
     };
     match cfg.mode {
         KernelMode::VectorNoOverlap => RankProgram {
@@ -293,7 +294,7 @@ mod tests {
         assert!(!op_inside_mpi(&Op::Gather));
         assert!(!op_inside_mpi(&Op::Compute {
             bytes: 1.0,
-            label: "x"
+            phase: Phase::SpmvFull
         }));
         assert!(!op_inside_mpi(&Op::TeamBarrier(1)));
     }

@@ -1,6 +1,8 @@
 //! Activity traces — the simulator's regeneration of the paper's Fig. 4
 //! timeline schematics, with real (simulated) time on the axis.
 
+use spmv_obs::Phase;
+
 /// One contiguous activity segment of a lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -9,8 +11,8 @@ pub struct TraceEvent {
     /// Lane within the rank (0 = comm lane in task mode, otherwise the
     /// single execution lane).
     pub lane: usize,
-    /// Activity label ("gather", "waitall", "spmv(local)", ...).
-    pub label: &'static str,
+    /// The activity, in the measured tracer's vocabulary.
+    pub phase: Phase,
     /// Segment start (seconds).
     pub t0: f64,
     /// Segment end (seconds).
@@ -37,7 +39,7 @@ impl Trace {
                 .map(|e| TraceEvent {
                     rank: e.rank,
                     lane: e.lane,
-                    label: e.phase.label(),
+                    phase: e.phase,
                     t0: e.t0,
                     t1: e.t1,
                 })
@@ -60,7 +62,7 @@ impl Trace {
     pub fn time_in(&self, rank: usize, pattern: &str) -> f64 {
         self.events
             .iter()
-            .filter(|e| e.rank == rank && e.label.contains(pattern))
+            .filter(|e| e.rank == rank && e.phase.label().contains(pattern))
             .map(|e| e.t1 - e.t0)
             .sum()
     }
@@ -72,7 +74,7 @@ impl Trace {
     pub fn time_in_exact(&self, rank: usize, label: &str) -> f64 {
         self.events
             .iter()
-            .filter(|e| e.rank == rank && e.label == label)
+            .filter(|e| e.rank == rank && e.phase.label() == label)
             .map(|e| e.t1 - e.t0)
             .sum()
     }
@@ -93,7 +95,7 @@ impl Trace {
         let lanes: usize = ev.iter().map(|e| e.lane).max().unwrap_or(0) + 1;
         let mut rows = vec![vec![b' '; width]; lanes];
         for e in &ev {
-            let c = symbol_for(e.label);
+            let c = symbol_for(e.phase);
             let a = (e.t0 * t_scale).floor() as usize;
             let b = ((e.t1 * t_scale).ceil() as usize).clamp(a + 1, width);
             for cell in &mut rows[e.lane][a.min(width - 1)..b] {
@@ -116,16 +118,16 @@ impl Trace {
     }
 }
 
-fn symbol_for(label: &str) -> u8 {
-    match label {
-        "gather" => b'g',
-        "send" => b's',
-        "post recvs" => b'r',
-        "waitall" => b'w',
-        "spmv(local)" => b'L',
-        "spmv(nonlocal)" => b'N',
-        "spmv(full)" => b'F',
-        "barrier" => b'b',
+fn symbol_for(phase: Phase) -> u8 {
+    match phase {
+        Phase::Gather => b'g',
+        Phase::Send => b's',
+        Phase::PostRecvs => b'r',
+        Phase::Waitall => b'w',
+        Phase::SpmvLocal => b'L',
+        Phase::SpmvNonlocal => b'N',
+        Phase::SpmvFull => b'F',
+        Phase::Barrier => b'b',
         _ => b'?',
     }
 }
@@ -140,42 +142,42 @@ mod tests {
                 TraceEvent {
                     rank: 0,
                     lane: 0,
-                    label: "post recvs",
+                    phase: Phase::PostRecvs,
                     t0: 0.0,
                     t1: 0.1,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 0,
-                    label: "waitall",
+                    phase: Phase::Waitall,
                     t0: 0.1,
                     t1: 0.9,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "gather",
+                    phase: Phase::Gather,
                     t0: 0.0,
                     t1: 0.2,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "spmv(local)",
+                    phase: Phase::SpmvLocal,
                     t0: 0.2,
                     t1: 0.8,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "spmv(nonlocal)",
+                    phase: Phase::SpmvNonlocal,
                     t0: 0.9,
                     t1: 1.0,
                 },
                 TraceEvent {
                     rank: 1,
                     lane: 0,
-                    label: "waitall",
+                    phase: Phase::Waitall,
                     t0: 0.0,
                     t1: 0.5,
                 },

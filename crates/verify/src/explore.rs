@@ -74,6 +74,18 @@ pub enum MOp {
         /// Barrier group id.
         id: usize,
     },
+    /// Local copy of `src_buf[range]` to `dst_buf[off..]` (a node-aware
+    /// leader assembling or unpacking wire messages).
+    Copy {
+        /// Source buffer id.
+        src_buf: usize,
+        /// Element range within the source buffer.
+        range: (usize, usize),
+        /// Destination buffer id.
+        dst_buf: usize,
+        /// Element offset within the destination buffer.
+        off: usize,
+    },
     /// Gather: `dst[k] = src[indices[k]]` (the engine's send-buffer fill).
     Gather {
         /// Source buffer id.
@@ -105,6 +117,7 @@ impl fmt::Debug for MOp {
             MOp::Send { dst, tag, .. } => write!(f, "send(dst={dst}, tag={tag})"),
             MOp::Recv { src, tag, .. } => write!(f, "recv(src={src}, tag={tag})"),
             MOp::Barrier { id } => write!(f, "barrier({id})"),
+            MOp::Copy { .. } => write!(f, "copy"),
             MOp::Gather { .. } => write!(f, "gather"),
             MOp::Spmv { accumulate, .. } => write!(f, "spmv(accumulate={accumulate})"),
         }
@@ -407,6 +420,15 @@ impl Search<'_> {
                         s.pcs[m] += 1;
                     }
                 }
+            }
+            MOp::Copy {
+                src_buf,
+                range,
+                dst_buf,
+                off,
+            } => {
+                let data = s.bufs[*src_buf][range.0..range.1].to_vec();
+                s.bufs[*dst_buf][*off..*off + data.len()].copy_from_slice(&data);
             }
             MOp::Gather { src, indices, dst } => {
                 for (k, &i) in indices.iter().enumerate() {

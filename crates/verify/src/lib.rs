@@ -9,12 +9,13 @@
 //!    acyclic, and deadlock-free, or return typed [`PlanViolation`]s.
 //! 2. **Interleaving exploration** — [`explore`] is a loom-style
 //!    model checker over the engine's yield points; [`script`] builds
-//!    model programs from *real* plans for all three kernel modes, so
-//!    exhaustive search proves deadlock-freedom and bit-identical
-//!    results across every interleaving on small worlds.
+//!    model programs from the engine's own halo-exchange schedules
+//!    (flat or node-aware) for all three kernel modes, so exhaustive
+//!    search proves deadlock-freedom and bit-identical results across
+//!    every interleaving on small worlds.
 //! 3. **Workspace lints** — [`lint`] backs the `spmv-lint` binary:
-//!    SAFETY-comment coverage, unwrap burndown in hot crates, blocking
-//!    calls in the task-mode comm thread, and obs/sim phase-label drift.
+//!    SAFETY-comment coverage, unwrap burndown in hot crates, and
+//!    blocking calls in the task-mode comm thread.
 
 pub mod explore;
 pub mod lint;

@@ -1,7 +1,7 @@
 //! Workspace source lints.
 //!
 //! A deliberately small, dependency-free lint pass over the workspace's
-//! `.rs` files, covering the four hazards this codebase has actually hit
+//! `.rs` files, covering the three hazards this codebase has actually hit
 //! or is structurally exposed to:
 //!
 //! * [`LINT_SAFETY`] — an `unsafe` block, impl, or fn without an adjacent
@@ -13,11 +13,7 @@
 //! * [`LINT_TASK_MODE`] — a *blocking* infallible comm call inside the
 //!   engine's task-mode body: the dedicated comm thread must use the
 //!   `try_*` API and reach both barriers even on error, or the compute
-//!   team deadlocks on B1/B2;
-//! * [`LINT_PHASE_DRIFT`] — the shared phase-label vocabulary drifting
-//!   between `spmv-obs` (`Phase::label`) and `spmv-sim` (`symbol_for`),
-//!   which would silently break the side-by-side measured/simulated
-//!   timeline comparison.
+//!   team deadlocks on B1/B2.
 //!
 //! The scanner is line-based with a small token-level pass that strips
 //! comments and string literals, so lints fire on code, not prose. Each
@@ -33,24 +29,9 @@ pub const LINT_SAFETY: &str = "safety-comment";
 pub const LINT_UNWRAP: &str = "unwrap";
 /// Lint id: blocking comm call in the task-mode comm thread.
 pub const LINT_TASK_MODE: &str = "task-mode-blocking";
-/// Lint id: phase-label vocabulary drift between obs and sim.
-pub const LINT_PHASE_DRIFT: &str = "phase-drift";
 
 /// All lint ids, in reporting order.
-pub const ALL_LINTS: [&str; 4] = [LINT_SAFETY, LINT_UNWRAP, LINT_TASK_MODE, LINT_PHASE_DRIFT];
-
-/// The engine phases whose labels `spmv-obs` and `spmv-sim` must agree on
-/// byte-for-byte (the contract documented in both crates).
-pub const SHARED_PHASE_LABELS: [&str; 8] = [
-    "gather",
-    "post recvs",
-    "send",
-    "waitall",
-    "spmv(local)",
-    "spmv(nonlocal)",
-    "spmv(full)",
-    "barrier",
-];
+pub const ALL_LINTS: [&str; 3] = [LINT_SAFETY, LINT_UNWRAP, LINT_TASK_MODE];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,8 +199,8 @@ pub fn scan_lines(text: &str) -> Vec<LineView> {
 }
 
 /// Extracts every `"..."` string literal from a source text (comments
-/// excluded), as `(1-based line, contents)` pairs. Used by the phase-drift
-/// lint to read the label vocabularies.
+/// excluded), as `(1-based line, contents)` pairs. Used by the unwrap
+/// lint to read `.expect` messages.
 pub fn string_literals(text: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     let views = scan_lines(text);
@@ -511,114 +492,6 @@ pub fn lint_task_mode(path: &Path, text: &str) -> Vec<Finding> {
     findings
 }
 
-// -- lint 4: phase-label vocabulary drift -----------------------------------
-
-/// Extracts the string literals inside one `fn <name>` body.
-fn labels_in_fn(text: &str, fn_name: &str) -> Vec<String> {
-    let views = scan_lines(text);
-    let lits = string_literals(text);
-    let mut depth = 0i64;
-    let mut body_floor: Option<i64> = None;
-    let mut pending = false;
-    let mut range: Option<(usize, usize)> = None;
-    for (ln, v) in views.iter().enumerate() {
-        if body_floor.is_none() && v.code.contains(&format!("fn {fn_name}")) {
-            pending = true;
-        }
-        for c in v.code.chars() {
-            match c {
-                '{' => {
-                    if pending {
-                        body_floor = Some(depth);
-                        pending = false;
-                        range = Some((ln + 1, usize::MAX));
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if body_floor == Some(depth) {
-                        body_floor = None;
-                        if let Some((s, _)) = range {
-                            range = Some((s, ln + 1));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if range.is_some_and(|(_, e)| e != usize::MAX) {
-            break;
-        }
-    }
-    let Some((start, end)) = range else {
-        return Vec::new();
-    };
-    lits.into_iter()
-        .filter(|(l, _)| *l >= start && *l <= end)
-        .map(|(_, s)| s)
-        .collect()
-}
-
-/// Checks the obs/sim label vocabularies for drift. `obs_text` is
-/// `crates/obs/src/phase.rs`, `sim_text` is `crates/sim/src/trace.rs`.
-pub fn lint_phase_drift(
-    obs_path: &Path,
-    obs_text: &str,
-    sim_path: &Path,
-    sim_text: &str,
-) -> Vec<Finding> {
-    let obs_labels = labels_in_fn(obs_text, "label");
-    let sim_labels = labels_in_fn(sim_text, "symbol_for");
-    let mut findings = Vec::new();
-    let mut drift = |path: &Path, message: String| {
-        findings.push(Finding {
-            lint: LINT_PHASE_DRIFT,
-            path: path.to_path_buf(),
-            line: 1,
-            message,
-            suggestion: "the first eight `Phase` labels and `symbol_for`'s match arms must \
-                         stay byte-identical; rename in both places or add the label to both"
-                .to_string(),
-            snippet: String::new(),
-        });
-    };
-    if obs_labels.is_empty() {
-        drift(
-            obs_path,
-            "could not locate `Phase::label` vocabulary".into(),
-        );
-        return findings;
-    }
-    if sim_labels.is_empty() {
-        drift(sim_path, "could not locate `symbol_for` vocabulary".into());
-        return findings;
-    }
-    for l in SHARED_PHASE_LABELS {
-        if !obs_labels.iter().any(|x| x == l) {
-            drift(
-                obs_path,
-                format!("shared phase label {l:?} missing from `Phase::label`"),
-            );
-        }
-        if !sim_labels.iter().any(|x| x == l) {
-            drift(
-                sim_path,
-                format!("shared phase label {l:?} missing from `symbol_for`"),
-            );
-        }
-    }
-    for l in &sim_labels {
-        if !obs_labels.iter().any(|x| x == l) {
-            drift(
-                sim_path,
-                format!("sim renders label {l:?} that `spmv-obs` never emits"),
-            );
-        }
-    }
-    findings
-}
-
 // -- driver -----------------------------------------------------------------
 
 /// Finds the workspace root by walking up from `start` to the first
@@ -689,16 +562,6 @@ pub fn run_lints(root: &Path, only: Option<&str>) -> Vec<Finding> {
                 .ends_with("crates/core/src/engine.rs")
         {
             findings.extend(lint_task_mode(&rel, &text));
-        }
-    }
-    if wants(LINT_PHASE_DRIFT) {
-        let obs = PathBuf::from("crates/obs/src/phase.rs");
-        let sim = PathBuf::from("crates/sim/src/trace.rs");
-        if let (Ok(ot), Ok(st)) = (
-            std::fs::read_to_string(root.join(&obs)),
-            std::fs::read_to_string(root.join(&sim)),
-        ) {
-            findings.extend(lint_phase_drift(&obs, &ot, &sim, &st));
         }
     }
     findings
@@ -799,52 +662,6 @@ fn after(&self) {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 6);
         assert!(f[0].message.contains("comm.recv"));
-    }
-
-    #[test]
-    fn phase_drift_detects_renamed_label() {
-        let obs = r#"
-pub fn label(self) -> &'static str {
-    match self {
-        Phase::Gather => "gather",
-        Phase::PostRecvs => "post recvs",
-        Phase::Send => "send",
-        Phase::Waitall => "waitall",
-        Phase::SpmvLocal => "spmv(local)",
-        Phase::SpmvNonlocal => "spmv(nonlocal)",
-        Phase::SpmvFull => "spmv(full)",
-        Phase::Barrier => "barrier",
-    }
-}
-"#;
-        let sim_ok = r#"
-fn symbol_for(label: &str) -> u8 {
-    match label {
-        "gather" => b'g',
-        "send" => b's',
-        "post recvs" => b'r',
-        "waitall" => b'w',
-        "spmv(local)" => b'L',
-        "spmv(nonlocal)" => b'N',
-        "spmv(full)" => b'F',
-        "barrier" => b'b',
-        _ => b'?',
-    }
-}
-"#;
-        let a = Path::new("obs.rs");
-        let b = Path::new("sim.rs");
-        assert!(lint_phase_drift(a, obs, b, sim_ok).is_empty());
-        let sim_drifted = sim_ok.replace("\"waitall\"", "\"wait-all\"");
-        let f = lint_phase_drift(a, obs, b, &sim_drifted);
-        assert!(
-            f.iter().any(|x| x.message.contains("waitall")),
-            "missing shared label must be reported: {f:?}"
-        );
-        assert!(
-            f.iter().any(|x| x.message.contains("wait-all")),
-            "unknown sim label must be reported: {f:?}"
-        );
     }
 
     #[test]

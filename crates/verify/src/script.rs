@@ -1,143 +1,161 @@
-//! Model programs derived from real communication plans.
+//! Model programs derived from real halo-exchange schedules.
 //!
-//! [`build_world`] turns a matrix + rank count + [`KernelMode`] into a
-//! [`ModelWorld`] whose procs execute the *same* schedule the engine's
-//! threads execute — gather order, message set, tag assignment, barrier
-//! placement — over the rank's real split matrices. Exploring that world
-//! therefore checks the engine's interleaving structure, not a toy.
+//! [`build_world`] turns a matrix + rank count + [`KernelMode`] +
+//! [`CommStrategy`] into a [`ModelWorld`] whose procs execute each rank's
+//! [`HaloSchedule`] — the op list the engine runs — placed around the
+//! gather, the barriers and the split kernels where the mode places it, over
+//! the rank's real split matrices. Exploring that world therefore checks the
+//! engine's interleaving structure, not a toy, for the flat and the
+//! node-aware exchange alike.
 //!
-//! Buffer layout per rank `r` (three buffers each):
-//! * `3r`     — `x_ext = [local | halo]`, the extended RHS;
-//! * `3r + 1` — the gathered send buffer;
-//! * `3r + 2` — `y`, the rank's slice of the result.
+//! Buffer layout per rank `r` (four buffers each):
+//! * `4r`     — `x_ext = [local | halo]`, the extended RHS;
+//! * `4r + 1` — the gathered send buffer;
+//! * `4r + 2` — `y`, the rank's slice of the result;
+//! * `4r + 3` — the node-aware leader scratch (empty elsewhere).
 //!
 //! Vector modes are one proc per rank. Task mode is two procs per rank —
 //! the dedicated comm thread and the compute team — synchronized by the
 //! B1/B2 barriers of Fig. 4c (barrier ids `2r` and `2r + 1`).
 
 use crate::explore::{MOp, ModelWorld, Program};
-use spmv_core::plan::build_plans_serial;
-use spmv_core::{KernelMode, RowPartition, SplitMatrix};
+use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
+use spmv_core::schedule::{Buf, XOp};
+use spmv_core::{CommStrategy, HaloSchedule, KernelMode, RowPartition, SplitMatrix};
 use spmv_matrix::CsrMatrix;
 use std::rc::Rc;
 
-/// The halo tag the engine uses for flat exchange (`spmv-core`'s
-/// `TAG_HALO`); the model reuses it so schedules read identically.
-const TAG_HALO: u32 = 17;
+/// Model buffers per rank (see the module docs).
+const BUFS: usize = 4;
+
+/// Lowers schedule ops of rank `r` (owning `nloc` rows) to model steps,
+/// one for one, except receives posted nonblocking: the model's `Recv` is
+/// the blocking wait, so they are held in `posted` until the `WaitAll`
+/// that completes them. Model sends are eager-buffered, so `WaitAll` adds
+/// nothing else.
+fn lower(r: usize, nloc: usize, ops: &[XOp], posted: &mut Vec<MOp>) -> Vec<MOp> {
+    let at = |buf: Buf, start: usize| match buf {
+        Buf::Halo => (BUFS * r, nloc + start),
+        Buf::Send => (BUFS * r + 1, start),
+        Buf::Scratch => (BUFS * r + 3, start),
+    };
+    let mut out = Vec::with_capacity(ops.len());
+    for op in ops {
+        match op {
+            XOp::PostRecv(m) | XOp::Recv(m) => {
+                let (buf, off) = at(m.buf, m.range.start);
+                let recv = MOp::Recv {
+                    src: m.peer,
+                    tag: m.tag,
+                    buf,
+                    off,
+                    len: m.range.len(),
+                };
+                match op {
+                    XOp::PostRecv(_) => posted.push(recv),
+                    _ => out.push(recv),
+                }
+            }
+            XOp::Send(m) => {
+                let (buf, off) = at(m.buf, m.range.start);
+                out.push(MOp::Send {
+                    dst: m.peer,
+                    tag: m.tag,
+                    buf,
+                    range: (off, off + m.range.len()),
+                });
+            }
+            XOp::Copy { from, src, to, dst } => {
+                let (src_buf, so) = at(*from, src.start);
+                let (dst_buf, off) = at(*to, *dst);
+                out.push(MOp::Copy {
+                    src_buf,
+                    range: (so, so + src.len()),
+                    dst_buf,
+                    off,
+                });
+            }
+            XOp::WaitAll => out.append(posted),
+        }
+    }
+    out
+}
 
 /// Builds a model world for a distributed SpMV of `matrix` over `ranks`
-/// nonzero-balanced ranks in `mode`, with `x` as the RHS. Returns the
-/// world plus the per-rank `(row_start, local_len)` layout so callers can
-/// assemble the global result from the terminal `y` buffers (`3r + 2`).
+/// nonzero-balanced ranks in `mode`, exchanging halos by `strategy`, with
+/// `x` as the RHS. Returns the world plus the per-rank
+/// `(row_start, local_len)` layout so callers can assemble the global
+/// result from the terminal `y` buffers (`4r + 2`).
 pub fn build_world(
     matrix: &CsrMatrix,
     x: &[f64],
     ranks: usize,
     mode: KernelMode,
+    strategy: CommStrategy,
 ) -> (ModelWorld, Vec<(usize, usize)>) {
     assert_eq!(x.len(), matrix.ncols(), "x must match the matrix");
     let partition = RowPartition::by_nnz(matrix, ranks);
     let plans = build_plans_serial(matrix, &partition);
+    let schedules: Vec<HaloSchedule> = match strategy {
+        CommStrategy::Flat => plans.iter().map(HaloSchedule::flat).collect(),
+        CommStrategy::NodeAware { .. } => {
+            build_node_aware_serial(&plans, &strategy.rank_node_map(ranks))
+                .iter()
+                .map(HaloSchedule::node_aware)
+                .collect()
+        }
+    };
 
-    let mut buffers = Vec::with_capacity(3 * ranks);
+    let mut buffers = Vec::with_capacity(BUFS * ranks);
     let mut layout = Vec::with_capacity(ranks);
-    let mut splits = Vec::with_capacity(ranks);
-    for plan in &plans {
-        let range = partition.range(plan.rank);
-        let block = matrix.row_block(range.clone());
-        let split = SplitMatrix::build(&block, plan);
-        let mut x_ext = x[range.clone()].to_vec();
-        x_ext.resize(plan.local_len + plan.halo_len(), 0.0);
-        buffers.push(x_ext);
-        buffers.push(vec![0.0; plan.send_len()]);
-        buffers.push(vec![0.0; plan.local_len]);
-        layout.push((plan.row_start, plan.local_len));
-        splits.push(split);
-    }
-
     let mut procs = Vec::new();
     let mut barrier_groups = Vec::new();
-    for (r, plan) in plans.iter().enumerate() {
-        let (xb, sb, yb) = (3 * r, 3 * r + 1, 3 * r + 2);
-        let split = &splits[r];
+    for (r, (plan, sched)) in plans.iter().zip(&schedules).enumerate() {
+        let range = partition.range(r);
+        let split = SplitMatrix::build(&matrix.row_block(range.clone()), plan);
         let nloc = plan.local_len;
+        let mut x_ext = x[range].to_vec();
+        x_ext.resize(nloc + plan.halo_len(), 0.0);
+        buffers.push(x_ext);
+        buffers.push(vec![0.0; sched.gather.len()]);
+        buffers.push(vec![0.0; nloc]);
+        buffers.push(vec![0.0; sched.scratch_len()]);
+        layout.push((plan.row_start, nloc));
 
+        let (xb, sb, yb) = (BUFS * r, BUFS * r + 1, BUFS * r + 2);
         let gather = MOp::Gather {
             src: xb,
-            indices: Rc::new(
-                plan.send
-                    .iter()
-                    .flat_map(|n| n.indices.iter().copied())
-                    .collect(),
-            ),
+            indices: Rc::new(sched.gather.clone()),
             dst: sb,
         };
-        // Send ops: one per send neighbour, over the neighbour's segment of
-        // the gathered buffer (the engine's send_offsets).
-        let mut sends = Vec::new();
-        let mut off = 0usize;
-        for n in &plan.send {
-            sends.push(MOp::Send {
-                dst: n.peer,
-                tag: TAG_HALO,
-                buf: sb,
-                range: (off, off + n.indices.len()),
-            });
-            off += n.indices.len();
-        }
-        // Recv ops: one per recv neighbour, into the halo segment of x_ext.
-        let mut recvs = Vec::new();
-        let mut hoff = nloc;
-        for n in &plan.recv {
-            recvs.push(MOp::Recv {
-                src: n.peer,
-                tag: TAG_HALO,
-                buf: xb,
-                off: hoff,
-                len: n.indices.len(),
-            });
-            hoff += n.indices.len();
-        }
-        let spmv_full = MOp::Spmv {
-            mat: Rc::new(split.full.clone()),
+        let mut posted = Vec::new();
+        let pre = lower(r, nloc, sched.pre(), &mut posted);
+        let begin = lower(r, nloc, sched.begin(), &mut posted);
+        let finish = lower(r, nloc, sched.finish(), &mut posted);
+        let spmv = |mat: &CsrMatrix, x_off: usize, accumulate: bool| MOp::Spmv {
+            mat: Rc::new(mat.clone()),
             x_buf: xb,
-            x_off: 0,
+            x_off,
             y_buf: yb,
-            accumulate: false,
-        };
-        let spmv_local = MOp::Spmv {
-            mat: Rc::new(split.local.clone()),
-            x_buf: xb,
-            x_off: 0,
-            y_buf: yb,
-            accumulate: false,
-        };
-        let spmv_nonlocal = MOp::Spmv {
-            mat: Rc::new(split.nonlocal.clone()),
-            x_buf: xb,
-            x_off: nloc,
-            y_buf: yb,
-            accumulate: true,
+            accumulate,
         };
 
         match mode {
             KernelMode::VectorNoOverlap => {
                 // Fig. 4a: gather, exchange to completion, one full kernel.
                 let mut ops = vec![gather];
-                ops.extend(sends);
-                ops.extend(recvs);
-                ops.push(spmv_full);
+                ops.extend(pre.into_iter().chain(begin).chain(finish));
+                ops.push(spmv(&split.full, 0, false));
                 procs.push(Program { rank: r, ops });
             }
             KernelMode::VectorNaiveOverlap => {
-                // Fig. 4b: nonblocking exchange posted before the local
-                // kernel; the blocking waits (modeled by the Recv ops)
-                // land between the local and non-local kernels.
+                // Fig. 4b: the local kernel runs between posting the sends
+                // and completing the exchange.
                 let mut ops = vec![gather];
-                ops.extend(sends);
-                ops.push(spmv_local);
-                ops.extend(recvs);
-                ops.push(spmv_nonlocal);
+                ops.extend(pre.into_iter().chain(begin));
+                ops.push(spmv(&split.local, 0, false));
+                ops.extend(finish);
+                ops.push(spmv(&split.nonlocal, nloc, true));
                 procs.push(Program { rank: r, ops });
             }
             KernelMode::TaskMode => {
@@ -146,14 +164,20 @@ pub fn build_world(
                 let b1 = MOp::Barrier { id: 2 * r };
                 let b2 = MOp::Barrier { id: 2 * r + 1 };
                 let comm_proc = procs.len();
-                let mut ops = vec![b1.clone()];
-                ops.extend(sends);
-                ops.extend(recvs);
+                let mut ops = pre;
+                ops.push(b1.clone());
+                ops.extend(begin.into_iter().chain(finish));
                 ops.push(b2.clone());
                 procs.push(Program { rank: r, ops });
                 procs.push(Program {
                     rank: r,
-                    ops: vec![gather, b1, spmv_local, b2, spmv_nonlocal],
+                    ops: vec![
+                        gather,
+                        b1,
+                        spmv(&split.local, 0, false),
+                        b2,
+                        spmv(&split.nonlocal, nloc, true),
+                    ],
                 });
                 barrier_groups.resize(2 * r + 2, Vec::new());
                 barrier_groups[2 * r] = vec![comm_proc, comm_proc + 1];
@@ -178,7 +202,7 @@ pub fn assemble_y(terminal: &[Vec<f64>], layout: &[(usize, usize)]) -> Vec<f64> 
     let n = layout.iter().map(|&(s, l)| s + l).max().unwrap_or(0);
     let mut y = vec![0.0; n];
     for (r, &(start, len)) in layout.iter().enumerate() {
-        y[start..start + len].copy_from_slice(&terminal[3 * r + 2]);
+        y[start..start + len].copy_from_slice(&terminal[BUFS * r + 2]);
     }
     y
 }
@@ -196,7 +220,7 @@ mod tests {
         let mut y_ref = vec![0.0; 24];
         m.spmv(&x, &mut y_ref);
         for mode in KernelMode::ALL {
-            let (world, layout) = build_world(&m, &x, 3, mode);
+            let (world, layout) = build_world(&m, &x, 3, mode, CommStrategy::Flat);
             let report = Explorer::new(world)
                 .run()
                 .unwrap_or_else(|e| panic!("{mode}: {e}"));
@@ -216,10 +240,56 @@ mod tests {
         let x = vecops::random_vec(32, 9);
         let mut y_ref = vec![0.0; 32];
         m.spmv(&x, &mut y_ref);
-        let (world, layout) = build_world(&m, &x, 4, KernelMode::TaskMode);
+        let (world, layout) = build_world(&m, &x, 4, KernelMode::TaskMode, CommStrategy::Flat);
         let report = Explorer::new(world).run().expect("task mode explores");
         let y = assemble_y(&report.terminal_buffers, &layout);
         assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-11);
         assert!(report.states > 100, "8 procs should branch substantially");
+    }
+
+    #[test]
+    fn node_aware_explores_exhaustively_on_two_nodes() {
+        // 4 ranks, 2 per node, band wide enough that every rank needs data
+        // from the other node: shipments, wires, forwards and the leaders'
+        // own-slice copies all appear in the model
+        let m = synthetic::random_banded_symmetric(16, 7, 3.0, 5);
+        let x = vecops::random_vec(16, 3);
+        let mut y_ref = vec![0.0; 16];
+        m.spmv(&x, &mut y_ref);
+        let na = CommStrategy::NodeAware { ranks_per_node: 2 };
+        for mode in KernelMode::ALL {
+            let (world, layout) = build_world(&m, &x, 4, mode, na);
+            let ops: Vec<&MOp> = world.procs.iter().flat_map(|p| &p.ops).collect();
+            let tags: Vec<u32> = ops
+                .iter()
+                .filter_map(|op| match op {
+                    MOp::Send { tag, .. } => Some(*tag),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                tags.contains(&spmv_core::schedule::TAG_SHIP),
+                "{mode}: no shipment"
+            );
+            assert!(
+                tags.contains(&spmv_core::schedule::TAG_WIRE),
+                "{mode}: no wire"
+            );
+            assert!(
+                tags.iter().any(|&t| t >= spmv_core::schedule::TAG_FWD_BASE),
+                "{mode}: no forward"
+            );
+            assert!(
+                ops.iter().any(|op| matches!(op, MOp::Copy { .. })),
+                "{mode}: no leader copy"
+            );
+            let report = Explorer::new(world)
+                .run()
+                .unwrap_or_else(|e| panic!("{mode}: {e}"));
+            assert!(report.schedules > 1, "{mode}: 4 ranks must interleave");
+            let y = assemble_y(&report.terminal_buffers, &layout);
+            let err = vecops::max_abs_diff(&y, &y_ref);
+            assert!(err < 1e-11, "{mode}: model result drifts ({err})");
+        }
     }
 }

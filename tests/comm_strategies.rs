@@ -172,3 +172,113 @@ fn samg_node_aware_reduces_inter_node_messages() {
     let aggregated = halo_bits(&m, ranks, node_aware(rpn));
     assert_eq!(reference, aggregated, "acceptance halos must be bit-equal");
 }
+
+/// Degenerate matrices for the plan sweep, each `(name, matrix)`; values
+/// come from a fixed seed.
+fn degenerate_matrices() -> Vec<(&'static str, CsrMatrix)> {
+    let mut rng = Rng64::new(0xDE6E);
+    let mut build = |n: usize, entries: &mut dyn Iterator<Item = (usize, usize)>| {
+        let mut coo = spmv_matrix::CooMatrix::new(n, n);
+        for (i, j) in entries {
+            coo.push(i, j, rng.gen_range_f64(-2.0, 2.0));
+        }
+        coo.to_csr().expect("coordinates in range by construction")
+    };
+    let n = 24;
+    vec![
+        // rows 6..18 hold no entries: middle ranks own rows but no nonzeros
+        (
+            "zero-nnz rank",
+            build(
+                n,
+                &mut (0..n)
+                    .filter(|i| !(6..18).contains(i))
+                    .flat_map(|i| [(i, i), (i, n - 1 - i)]),
+            ),
+        ),
+        // rows 0..12 are diagonal, the rest couple back to them: the first
+        // ranks send but receive nothing
+        (
+            "empty halo",
+            build(
+                n,
+                &mut (0..n).flat_map(|i| {
+                    let back = (i >= 12).then(|| (i, i - 12));
+                    std::iter::once((i, i)).chain(back)
+                }),
+            ),
+        ),
+        // row 0 is dense: rank 0 receives from every other rank
+        (
+            "dense row",
+            build(n, &mut (0..n).map(|j| (0, j)).chain((1..n).map(|i| (i, i)))),
+        ),
+        // 4 rows for up to 6 ranks: some ranks own no rows at all
+        (
+            "more ranks than rows",
+            build(
+                4,
+                &mut (0..4).flat_map(|i| [(i, i), (i, (i + 1) % 4), (i, (i + 3) % 4)]),
+            ),
+        ),
+    ]
+}
+
+/// Every degenerate plan verifies under flat and node-aware (2 and 3 ranks
+/// per node) at 1..=6 ranks, and every kernel mode computes the serial
+/// result, bit-identically across the strategies.
+#[test]
+fn degenerate_plans_verify_and_agree_across_strategies() {
+    use hybrid_spmv::core::plan::{build_node_aware_serial, build_plans_serial};
+    use hybrid_spmv::core::runner::run_spmd_with_partition;
+    use hybrid_spmv::verify::{verify_flat, verify_node_aware};
+    for (name, m) in degenerate_matrices() {
+        let n = m.nrows();
+        let x = vecops::random_vec(n, 11);
+        let mut y_ref = vec![0.0; n];
+        m.spmv(&x, &mut y_ref);
+        for ranks in 1..=6 {
+            let partition = RowPartition::by_rows(n, ranks);
+            let plans = build_plans_serial(&m, &partition);
+            verify_flat(&plans).unwrap_or_else(|v| panic!("{name}, {ranks} ranks: {v:?}"));
+            let mut per_strategy = Vec::new();
+            for strategy in [
+                CommStrategy::Flat,
+                CommStrategy::NodeAware { ranks_per_node: 2 },
+                CommStrategy::NodeAware { ranks_per_node: 3 },
+            ] {
+                if let CommStrategy::NodeAware { ranks_per_node } = strategy {
+                    let map = RankNodeMap::contiguous(ranks, ranks_per_node);
+                    verify_node_aware(&build_node_aware_serial(&plans, &map))
+                        .unwrap_or_else(|v| panic!("{name}, {ranks} ranks, {strategy:?}: {v:?}"));
+                }
+                let cfg = EngineConfig::task_mode(1).with_comm_strategy(strategy);
+                let pieces = run_spmd_with_partition(&m, &partition, cfg, |eng| {
+                    let range = eng.row_start()..eng.row_start() + eng.local_len();
+                    KernelMode::ALL.map(|mode| {
+                        eng.x_local_mut().copy_from_slice(&x[range.clone()]);
+                        eng.spmv(mode);
+                        eng.y_local().to_vec()
+                    })
+                });
+                let ys: Vec<Vec<u64>> = (0..KernelMode::ALL.len())
+                    .map(|k| {
+                        let mode = KernelMode::ALL[k];
+                        let y: Vec<f64> = pieces.iter().flat_map(|p| p[k].clone()).collect();
+                        let err = vecops::max_abs_diff(&y, &y_ref);
+                        assert!(
+                            err < 1e-12,
+                            "{name}, {ranks} ranks, {strategy:?}, {mode}: off by {err}"
+                        );
+                        y.iter().map(|v| v.to_bits()).collect()
+                    })
+                    .collect();
+                per_strategy.push(ys);
+            }
+            assert!(
+                per_strategy.windows(2).all(|w| w[0] == w[1]),
+                "{name}, {ranks} ranks: strategies disagree bitwise"
+            );
+        }
+    }
+}
