@@ -1,16 +1,16 @@
 //! Bench backing the paper's format claim (§1.2): CRS "is broadly
 //! recognized as the most efficient format for general sparse matrices on
-//! cache-based microprocessors". Measures CRS against ELLPACK-R (both
-//! sweep orders) and SELL-C-σ at several chunk/sorting shapes on both
-//! application matrices plus a power-law matrix where row-length variance
-//! makes the padding trade-off visible.
+//! cache-based microprocessors". Measures CRS against SELL-C-σ at several
+//! chunk/sorting shapes, including ELLPACK-R as SELL-N-1 (one chunk of all
+//! N rows, slot-major, no sorting, per-row lengths), on both application
+//! matrices plus a power-law matrix where row-length variance makes the
+//! padding trade-off visible.
 
 use spmv_bench::microbench::{Bench, Unit};
 use spmv_bench::{hmep, samg, Scale};
-use spmv_matrix::{synthetic, vecops, CsrMatrix, EllMatrix, SellMatrix};
+use spmv_matrix::{synthetic, vecops, CsrMatrix, SellMatrix};
 
 fn bench_formats(b: &Bench, name: &str, m: &CsrMatrix) {
-    let ell = EllMatrix::from_csr(m);
     let x = vecops::random_vec(m.ncols(), 3);
     let mut y = vec![0.0; m.nrows()];
     let flops = 2.0 * m.nnz() as f64;
@@ -19,17 +19,13 @@ fn bench_formats(b: &Bench, name: &str, m: &CsrMatrix) {
     b.run(&group, "crs", Some((flops, Unit::Flops)), || {
         m.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
     });
-    b.run(&group, "ellpack_r", Some((flops, Unit::Flops)), || {
-        ell.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
-    });
-    b.run(&group, "ellpack_padded", Some((flops, Unit::Flops)), || {
-        ell.spmv_padded(std::hint::black_box(&x), std::hint::black_box(&mut y));
-    });
-    for (c, sigma) in [(4usize, 1usize), (32, 256), (32, m.nrows())] {
+    let n = m.nrows();
+    for (c, sigma) in [(n, 1), (4, 1), (32, 256), (32, n)] {
         let sell = SellMatrix::from_csr(m, c, sigma);
+        let label = if c == n { " (ellpack-r)" } else { "" };
         b.run(
             &group,
-            &format!("sell-{c}-{sigma}"),
+            &format!("sell-{c}-{sigma}{label}"),
             Some((flops, Unit::Flops)),
             || {
                 sell.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
@@ -39,12 +35,8 @@ fn bench_formats(b: &Bench, name: &str, m: &CsrMatrix) {
 
     let sell = SellMatrix::from_csr(m, 32, 256);
     println!(
-        "{name}: ELL width {} (avg row {:.1}), ELL fill {:.0}%, ELL storage {:.2}x CRS; \
-         SELL-32-256 padding factor {:.3}, fill {:.0}%",
-        ell.width(),
+        "{name}: avg row {:.1}; SELL-32-256 padding factor {:.3}, fill {:.0}%",
         m.avg_nnz_per_row(),
-        ell.fill_efficiency() * 100.0,
-        ell.storage_bytes() as f64 / m.storage_bytes() as f64,
         sell.padding_factor(),
         sell.fill_efficiency() * 100.0
     );

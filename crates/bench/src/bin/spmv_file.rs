@@ -218,8 +218,12 @@ fn main() {
         trace_path = std::env::var("SPMV_TRACE").ok().filter(|v| !v.is_empty());
     }
     let comm_strategy = match &strategy_arg {
-        Some(v) => CommStrategy::parse(v, ranks_per_node)
-            .unwrap_or_else(|| panic!("unknown comm strategy '{v}' (try flat, node-aware)")),
+        Some(v) => CommStrategy::parse(v, ranks_per_node).unwrap_or_else(|| {
+            panic!(
+                "bad comm strategy '{v}' with --ranks-per-node {ranks_per_node} \
+                     (try flat, or node-aware with at least 1 rank per node)"
+            )
+        }),
         None => CommStrategy::from_env().unwrap_or(CommStrategy::Flat),
     };
     let Some(path) = positional.first() else {

@@ -11,15 +11,18 @@
 //! ## Threading
 //!
 //! With `compute_threads = C` and an optional dedicated communication
-//! thread, the engine owns a persistent [`ThreadTeam`]:
+//! thread, the engine owns a persistent [`ThreadTeam`]. Every mode runs
+//! through one executor that walks the mode's step table
+//! ([`KernelMode::lanes`]):
 //!
-//! * vector modes use the team's threads for gather and compute regions,
-//!   with all communication issued between regions by the calling thread —
-//!   the "vector mode" structure where communication never overlaps
-//!   computation;
-//! * task mode runs one team region for the whole kernel: thread 0 executes
-//!   MPI calls only, threads `1..=C` gather / compute, synchronized by two
-//!   explicit barriers exactly as in Fig. 4c.
+//! * vector modes (one lane) use the team's threads for gather and compute
+//!   regions, with all communication issued between regions by the calling
+//!   thread — the "vector mode" structure where communication never
+//!   overlaps computation;
+//! * task mode (two lanes) runs one team region for the whole kernel:
+//!   thread 0 walks the comm lane and executes MPI calls only, threads
+//!   `1..=C` walk the compute lane, synchronized by two explicit barriers
+//!   exactly as in Fig. 4c.
 //!
 //! Work distribution is explicit — contiguous, nonzero-balanced row chunks
 //! per compute thread — because "the standard OpenMP loop worksharing
@@ -28,17 +31,17 @@
 
 use crate::gather::GatherProgram;
 use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
-use crate::modes::KernelMode;
+use crate::modes::{KernelMode, Lanes, Part, Step};
 use crate::partition::RowPartition;
 use crate::plan::{build_node_aware_distributed, build_plan_distributed, RankPlan};
-use crate::schedule::{Exchange, HaloSchedule, XOp};
+use crate::schedule::{Exchange, HaloSchedule};
 use crate::split::SplitMatrix;
 use spmv_comm::{Comm, CommError, CommStats};
 use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
 use spmv_obs::{Phase, RankTrace, TraceSink};
 use spmv_smp::workshare::balanced_chunks;
-use spmv_smp::ThreadTeam;
+use spmv_smp::{TeamCtx, ThreadTeam};
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -58,11 +61,13 @@ pub enum CommStrategy {
 }
 
 impl CommStrategy {
-    /// Parses a `--comm-strategy` CLI value (`flat` | `node-aware`).
+    /// Parses a `--comm-strategy` CLI value (`flat` | `node-aware`);
+    /// `None` for an unknown name or a node-aware value with no ranks per
+    /// node.
     pub fn parse(s: &str, ranks_per_node: usize) -> Option<Self> {
         match s {
             "flat" => Some(CommStrategy::Flat),
-            "node-aware" | "node_aware" | "nodeaware" => {
+            "node-aware" | "node_aware" | "nodeaware" if ranks_per_node > 0 => {
                 Some(CommStrategy::NodeAware { ranks_per_node })
             }
             _ => None,
@@ -77,16 +82,31 @@ impl CommStrategy {
         }
     }
 
-    /// Reads the `SPMV_COMM_STRATEGY` environment variable — `flat`,
-    /// `node-aware`, or `node-aware:<ranks_per_node>` (default 4 per node).
-    /// The [`EngineConfig`] constructors consult it, so a CI matrix can
-    /// steer every default-configured engine in the test suite without
-    /// touching call sites. Unset or unparsable values mean "no override".
+    /// Reads the `SPMV_COMM_STRATEGY` environment variable (see
+    /// [`Self::parse_env`]). The [`EngineConfig`] constructors consult it,
+    /// so a CI matrix can steer every default-configured engine in the
+    /// test suite without touching call sites. Unset means "no override".
+    ///
+    /// # Panics
+    /// Panics when the variable is set to a value [`Self::parse_env`]
+    /// rejects, so a typo cannot silently turn into the flat default.
     pub fn from_env() -> Option<Self> {
-        let v = std::env::var("SPMV_COMM_STRATEGY").ok()?;
+        let v = std::env::var_os("SPMV_COMM_STRATEGY")?;
+        let parsed = v.to_str().and_then(Self::parse_env);
+        Some(parsed.unwrap_or_else(|| {
+            panic!(
+                "SPMV_COMM_STRATEGY={v:?}: expected flat, node-aware or \
+                 node-aware:<ranks per node, at least 1>"
+            )
+        }))
+    }
+
+    /// Parses an `SPMV_COMM_STRATEGY` value: `flat`, `node-aware` (4 ranks
+    /// per node) or `node-aware:<ranks_per_node>`.
+    pub fn parse_env(v: &str) -> Option<Self> {
         match v.split_once(':') {
             Some((name, rpn)) => Self::parse(name, rpn.parse().ok()?),
-            None => Self::parse(&v, 4),
+            None => Self::parse(v, 4),
         }
     }
 
@@ -258,25 +278,6 @@ fn rec(trace: Option<&TraceSink>, lane: usize, phase: Phase, t0: f64, bytes: u64
     if let Some(ts) = trace {
         ts.record(lane, phase, t0, ts.now(), bytes, nnz);
     }
-}
-
-/// Runs one stage of the exchange schedule inside a comm-lane span; an
-/// empty stage records nothing.
-fn stage<'a>(
-    ex: &mut Exchange<'_, 'a>,
-    ops: &[XOp],
-    send_buf: &'a [f64],
-    trace: Option<&TraceSink>,
-    phase: Phase,
-    bytes: u64,
-) -> Result<(), CommError> {
-    if ops.is_empty() {
-        return Ok(());
-    }
-    let t = tnow(trace);
-    let res = ex.run(ops, send_buf);
-    rec(trace, 0, phase, t, bytes, 0);
-    res
 }
 
 /// Nonzeros of a contiguous row chunk (for kernel-span annotations).
@@ -576,11 +577,7 @@ impl RankEngine {
             );
         }
         self.spmv_calls += 1;
-        match mode {
-            KernelMode::VectorNoOverlap => self.vector_no_overlap(),
-            KernelMode::VectorNaiveOverlap => self.vector_naive_overlap(),
-            KernelMode::TaskMode => self.task_mode(),
-        }
+        self.run_table(mode.lanes(), true)
     }
 
     /// Convenience wrapper copying `x` in and `y` out (costs two extra
@@ -604,66 +601,6 @@ impl RankEngine {
         self.spmv_checked(mode)?;
         y.copy_from_slice(&self.y);
         Ok(())
-    }
-
-    // -- gather + exchange ---------------------------------------------------
-
-    /// Runs the compiled gather program into the send buffer (parallel when
-    /// a team exists; compute threads only).
-    fn gather_into(
-        team: &Option<ThreadTeam>,
-        c: usize,
-        prog: &GatherProgram,
-        chunks: &[Range<usize>],
-        x_loc: &[f64],
-        send_buf: &mut [f64],
-    ) {
-        match team {
-            Some(team) => {
-                let sp = MutPtr(send_buf.as_mut_ptr());
-                team.run(|ctx| {
-                    if ctx.tid >= c {
-                        return; // idle comm thread in vector modes
-                    }
-                    // SAFETY: disjoint run ranges → disjoint destinations.
-                    unsafe { prog.execute_runs_raw(chunks[ctx.tid].clone(), x_loc, sp.raw()) };
-                });
-            }
-            None => prog.execute(x_loc, send_buf),
-        }
-    }
-
-    /// One kernel phase over disjoint per-thread row chunks (or the whole
-    /// matrix when running serially).
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_phase(
-        team: &Option<ThreadTeam>,
-        c: usize,
-        kern: &dyn SpmvKernel,
-        mat: &CsrMatrix,
-        chunks: &[Range<usize>],
-        x: &[f64],
-        y: &mut [f64],
-        accumulate: bool,
-    ) {
-        let yp = MutPtr(y.as_mut_ptr());
-        match team {
-            Some(team) => {
-                team.run(|ctx| {
-                    if ctx.tid >= c {
-                        return;
-                    }
-                    // SAFETY: chunks are disjoint row ranges.
-                    unsafe {
-                        kern.spmv_rows_raw(mat, chunks[ctx.tid].clone(), x, yp.raw(), accumulate)
-                    };
-                });
-            }
-            // SAFETY: serial path — yp is the sole writer of y's full range.
-            None => unsafe {
-                kern.spmv_rows_raw(mat, 0..mat.nrows(), x, yp.raw(), accumulate);
-            },
-        }
     }
 
     /// The node-level kernel kind actually in use (`Auto` resolved to the
@@ -690,8 +627,7 @@ impl RankEngine {
     }
 
     /// Runs the gather + halo exchange alone (no SpMV). Collective — used
-    /// by the communication benchmarks to time the exchange in isolation,
-    /// and by [`Self::vector_no_overlap`] as its communication step.
+    /// by the communication benchmarks to time the exchange in isolation.
     ///
     /// # Panics
     /// Panics on a communication fault — use
@@ -702,303 +638,247 @@ impl RankEngine {
         }
     }
 
-    /// Fallible twin of [`Self::halo_exchange`].
+    /// Fallible twin of [`Self::halo_exchange`]: the no-overlap table
+    /// without its kernel step (`Irecv` → gather → `Isend` → `Waitall`).
     pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
-        self.gather_and_exchange(false)
+        self.run_table(KernelMode::VectorNoOverlap.lanes(), false)
     }
 
-    /// Gathers the send buffer and runs the exchange schedule inline, as
-    /// the vector modes do. With `overlap` the local SpMV runs between
-    /// posting the sends and completing the exchange (Fig. 4b).
-    fn gather_and_exchange(&mut self, overlap: bool) -> Result<(), CommError> {
-        let nloc = self.plan.local_len;
-        let c = self.cfg.compute_threads;
-        let trace = self.trace.as_deref();
-        let (x_loc, halo) = self.x_ext.split_at_mut(nloc);
-        let x_loc = &*x_loc;
-        let t = tnow(trace);
-        Self::gather_into(
-            &self.team,
-            c,
-            &self.gather_prog,
-            &self.gather_chunks,
-            x_loc,
-            &mut self.send_buf,
-        );
-        let send_bytes = (self.send_buf.len() * 8) as u64;
-        rec(trace, 1, Phase::Gather, t, send_bytes, 0);
-        let halo_bytes = (halo.len() * 8) as u64;
-        let send_buf = &self.send_buf[..];
-        let sched = &self.schedule;
-        let mut ex = Exchange::new(sched, &self.comm, halo, &mut self.scratch);
-        stage(
-            &mut ex,
-            sched.pre(),
-            send_buf,
-            trace,
-            Phase::PostRecvs,
-            halo_bytes,
-        )?;
-        stage(
-            &mut ex,
-            sched.begin(),
-            send_buf,
-            trace,
-            Phase::Send,
-            send_bytes,
-        )?;
-        if overlap {
-            // local SpMV (communication does NOT progress meanwhile)
-            let t = tnow(trace);
-            Self::run_kernel_phase(
-                &self.team,
-                c,
-                self.kern_local.as_ref(),
-                &self.mats.local,
-                &self.local_chunks,
-                x_loc,
-                &mut self.y,
-                false,
-            );
-            rec(
-                trace,
-                1,
-                Phase::SpmvLocal,
-                t,
-                0,
-                self.mats.local.nnz() as u64,
-            );
-        }
-        // the transfers actually complete here
-        stage(
-            &mut ex,
-            sched.finish(),
-            send_buf,
-            trace,
-            Phase::Waitall,
-            halo_bytes,
-        )
-    }
-
-    // -- kernels ---------------------------------------------------------------
-
-    /// Fig. 4a: Irecv → gather → Isend → Waitall → full SpMV.
-    fn vector_no_overlap(&mut self) -> Result<(), CommError> {
-        self.halo_exchange_checked()?;
-        // full SpMV over the extended vector
-        let trace = self.trace.as_deref();
-        let t = tnow(trace);
-        Self::run_kernel_phase(
-            &self.team,
-            self.cfg.compute_threads,
-            self.kern_full.as_ref(),
-            &self.mats.full,
-            &self.full_chunks,
-            &self.x_ext,
-            &mut self.y,
-            false,
-        );
-        rec(trace, 1, Phase::SpmvFull, t, 0, self.mats.full.nnz() as u64);
-        Ok(())
-    }
-
-    /// Fig. 4b: Irecv → gather → Isend → local SpMV → Waitall → non-local
-    /// SpMV. The nonblocking calls *could* overlap the local compute, but
-    /// the substrate (like standard MPI) only progresses messages inside
-    /// communication calls, so the transfer really happens in `Waitall`.
-    fn vector_naive_overlap(&mut self) -> Result<(), CommError> {
-        self.gather_and_exchange(true)?;
-        // non-local part accumulates into y (second write — Eq. 2 traffic)
-        let nloc = self.plan.local_len;
-        let trace = self.trace.as_deref();
-        let t = tnow(trace);
-        Self::run_kernel_phase(
-            &self.team,
-            self.cfg.compute_threads,
-            self.kern_nonlocal.as_ref(),
-            &self.mats.nonlocal,
-            &self.nonlocal_chunks,
-            &self.x_ext[nloc..],
-            &mut self.y,
-            true,
-        );
-        rec(
-            trace,
-            1,
-            Phase::SpmvNonlocal,
-            t,
-            0,
-            self.mats.nonlocal.nnz() as u64,
-        );
-        Ok(())
-    }
-
-    /// Fig. 4c: one team region; thread 0 executes MPI calls only, the rest
-    /// gather and compute. Two barriers:
+    /// The step-table executor: runs a mode's [`KernelMode::lanes`], its
+    /// kernel steps only when `kernels` is set.
     ///
-    /// * **B1** — gather complete (compute) / receives posted (comm);
-    ///   afterwards the comm thread sends and waits while compute threads
-    ///   run the local SpMV: *explicit overlap*.
-    /// * **B2** — communication complete and local SpMV done; afterwards
-    ///   compute threads run the non-local SpMV.
+    /// * A one-lane (vector-mode) table runs on the calling thread, which
+    ///   issues the comm steps itself and opens one team region per gather
+    ///   or kernel step, so communication never overlaps computation.
+    /// * A two-lane (task-mode) table runs as one team region: thread 0
+    ///   walks the comm lane, threads `1..=C` the compute lane, and each
+    ///   `Sync` step is a team barrier (B1 / B2 of Fig. 4c).
     ///
-    /// On a communication fault the comm thread records the first error in
-    /// a shared slot and still reaches both barriers, so the compute
-    /// threads never deadlock; the error is returned after the region.
-    fn task_mode(&mut self) -> Result<(), CommError> {
-        let team = self
-            .team
-            .as_ref()
-            .expect("task mode requires a thread team");
-        let c = self.cfg.compute_threads;
-        debug_assert_eq!(team.size(), c + 1);
-
-        let nloc = self.plan.local_len;
-        let (x_loc_slice, halo_slice) = self.x_ext.split_at_mut(nloc);
-        let x_loc: &[f64] = x_loc_slice;
-        let halo_ptr = MutPtr(halo_slice.as_mut_ptr());
-        let halo_len = halo_slice.len();
-        let scratch_ptr = MutPtr(self.scratch.as_mut_ptr());
-        let scratch_len = self.scratch.len();
-        let yp = MutPtr(self.y.as_mut_ptr());
-        let sp = MutPtr(self.send_buf.as_mut_ptr());
-        let send_buf_len = self.send_buf.len();
-        let prog = &self.gather_prog;
-        let gather_chunks = &self.gather_chunks;
-        let comm = &self.comm;
-        let schedule = &self.schedule;
-        let local_chunks = &self.local_chunks;
-        let nonlocal_chunks = &self.nonlocal_chunks;
-        let mats = &self.mats;
-        let kern_local = &self.kern_local;
-        let kern_nonlocal = &self.kern_nonlocal;
-        let trace = self.trace.as_deref();
-        // First communication fault seen by the comm thread; read back
-        // after the region. The comm thread reaches B1/B2 regardless.
-        let comm_err: Mutex<Option<CommError>> = Mutex::new(None);
-        let comm_err = &comm_err;
-
-        team.run(|ctx| {
-            if ctx.tid == 0 {
-                // ---- dedicated communication thread (trace lane 0) ----
-                // SAFETY: until B2 the halo region and the leader scratch
-                // are exclusively owned by this thread (compute threads
-                // read only the local part, and the enclosing call blocks
-                // the owner until the region completes).
-                let (halo, scratch) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(halo_ptr.raw(), halo_len),
-                        std::slice::from_raw_parts_mut(scratch_ptr.raw(), scratch_len),
-                    )
-                };
-                let halo_bytes = (halo_len * 8) as u64;
-                let mut ex = Exchange::new(schedule, comm, halo, scratch);
-                // posted receives never read the send buffer: post them
-                // while the compute threads gather
-                let pre = stage(
-                    &mut ex,
-                    schedule.pre(),
-                    &[],
-                    trace,
-                    Phase::PostRecvs,
-                    halo_bytes,
-                );
-                let t = tnow(trace);
-                ctx.barrier(); // B1: gather finished
-                rec(trace, 0, Phase::Barrier, t, 0, 0);
-                // SAFETY: after B1 the gather is complete and no compute
-                // thread writes the send buffer again this step, so a
-                // shared read view is sound.
-                let send_buf: &[f64] =
-                    unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
-                // progress here, overlapping compute; one span for the
-                // sends and waits: the overlapped window
-                let t = tnow(trace);
-                let res = pre
-                    .and_then(|()| ex.run(schedule.begin(), send_buf))
-                    .and_then(|()| ex.run(schedule.finish(), send_buf));
-                // settle any request a fault left in flight before B2
-                // hands the halo to the compute threads
-                drop(ex);
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                if let Err(e) = res {
-                    *comm_err
-                        .lock()
-                        .expect("mutex poisoned: a peer thread panicked") = Some(e);
-                }
-                let t = tnow(trace);
-                ctx.barrier(); // B2: comm done & local SpMV done
-                rec(trace, 0, Phase::Barrier, t, 0, 0);
-                // non-local phase: nothing to do for the comm thread
-            } else {
-                // ---- compute threads (trace lanes 1..=C) ----
-                let ctid = ctx.tid - 1;
-                let lane = ctx.tid;
-                // gather into the send buffer (disjoint run ranges)
-                let t = tnow(trace);
-                // SAFETY: gather_chunks partition the run set, so each
-                // compute thread writes a disjoint slice of the send buffer.
-                unsafe { prog.execute_runs_raw(gather_chunks[ctid].clone(), x_loc, sp.raw()) };
-                rec(trace, lane, Phase::Gather, t, 0, 0);
-                let t = tnow(trace);
-                ctx.barrier(); // B1
-                rec(trace, lane, Phase::Barrier, t, 0, 0);
-                // local SpMV, one contiguous nonzero-balanced chunk each
-                let t = tnow(trace);
-                // SAFETY: local_chunks are disjoint row ranges of y.
-                unsafe {
-                    kern_local.spmv_rows_raw(
-                        &mats.local,
-                        local_chunks[ctid].clone(),
-                        x_loc,
-                        yp.raw(),
-                        false,
-                    )
-                };
-                rec(
-                    trace,
-                    lane,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    chunk_nnz(&mats.local, &local_chunks[ctid]),
-                );
-                let t = tnow(trace);
-                ctx.barrier(); // B2: halo data is now in place
-                rec(trace, lane, Phase::Barrier, t, 0, 0);
-                // non-local SpMV reads the halo (now immutable)
-                // SAFETY: after B2 the comm thread has stopped writing the
-                // halo, so shared read views are sound for the rest of the
-                // step; nonlocal_chunks are disjoint row ranges of y.
-                let halo: &[f64] = unsafe { std::slice::from_raw_parts(halo_ptr.raw(), halo_len) };
-                let t = tnow(trace);
-                // SAFETY: nonlocal_chunks are disjoint row ranges of y.
-                unsafe {
-                    kern_nonlocal.spmv_rows_raw(
-                        &mats.nonlocal,
-                        nonlocal_chunks[ctid].clone(),
-                        halo,
-                        yp.raw(),
-                        true,
-                    )
-                };
-                rec(
-                    trace,
-                    lane,
-                    Phase::SpmvNonlocal,
-                    t,
-                    0,
-                    chunk_nnz(&mats.nonlocal, &nonlocal_chunks[ctid]),
-                );
+    /// Exchange steps run their [`HaloSchedule`] stage through one
+    /// [`Exchange`], which the `Wait` step drops. Gather and kernel steps
+    /// run over the per-thread chunks. After a communication fault a lane
+    /// runs only its `Sync` steps, so the other lane never deadlocks; the
+    /// first error is returned once every lane is done.
+    fn run_table(&mut self, lanes: Lanes, kernels: bool) -> Result<(), CommError> {
+        let x_ext = MutPtr(self.x_ext.as_mut_ptr());
+        let send = MutPtr(self.send_buf.as_mut_ptr());
+        let scratch = MutPtr(self.scratch.as_mut_ptr());
+        let y = MutPtr(self.y.as_mut_ptr());
+        let env = StepEnv {
+            eng: self,
+            x_ext,
+            send,
+            scratch,
+            y,
+        };
+        let steps = |lane: &'static [Step]| {
+            lane.iter()
+                .copied()
+                .filter(move |s| kernels || !matches!(s, Step::Kernel(_)))
+        };
+        match lanes {
+            [lane] => env.walk(steps(lane), None),
+            [comm_lane, compute_lane] => {
+                let team = (self.team.as_ref()).expect("a two-lane mode runs on a thread team");
+                debug_assert_eq!(team.size(), self.cfg.compute_threads + 1);
+                let first_err: Mutex<Option<CommError>> = Mutex::new(None);
+                team.run(|ctx| {
+                    let lane = if ctx.tid == 0 {
+                        comm_lane
+                    } else {
+                        compute_lane
+                    };
+                    if let Err(e) = env.walk(steps(lane), Some(&ctx)) {
+                        first_err
+                            .lock()
+                            .expect("mutex poisoned: a peer thread panicked")
+                            .get_or_insert(e);
+                    }
+                });
+                first_err
+                    .into_inner()
+                    .expect("mutex poisoned: a peer thread panicked")
+                    .map_or(Ok(()), Err)
             }
-        });
-        let first_err = comm_err
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked")
-            .take();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+            _ => unreachable!("a kernel mode has one or two lanes"),
+        }
+    }
+}
+
+/// One SpMV's view of a [`RankEngine`], shared by every thread that walks
+/// a lane of the step table: the engine's read-only state, and raw views
+/// of the buffers the steps hand from thread to thread (`x_ext`, the send
+/// buffer, the leader scratch and `y`), which are written only through
+/// these pointers while the table runs.
+struct StepEnv<'e> {
+    eng: &'e RankEngine,
+    x_ext: MutPtr,
+    send: MutPtr,
+    scratch: MutPtr,
+    y: MutPtr,
+}
+
+impl StepEnv<'_> {
+    /// Walks one lane. `member` is the team context of a thread inside a
+    /// two-lane table's region; `None` is the calling thread of a one-lane
+    /// table. Comm spans go to trace lane 0 (the comm thread's) and compute
+    /// spans to the compute thread's lane, 1 for the calling thread's
+    /// whole-team regions.
+    ///
+    /// The unsafe views below rely on the table's ordering, which
+    /// `modes::tests` checks and the explorer proves on model worlds: the
+    /// gather completes before the `Send` step, and every kernel that
+    /// reads the halo starts after the `Wait` step has completed and
+    /// dropped the exchange.
+    fn walk(
+        &self,
+        steps: impl Iterator<Item = Step>,
+        member: Option<&TeamCtx<'_>>,
+    ) -> Result<(), CommError> {
+        let eng = self.eng;
+        let (trace, sched) = (eng.trace.as_deref(), &eng.schedule);
+        let nloc = eng.plan.local_len;
+        let halo_len = eng.x_ext.len() - nloc;
+        let send_len = eng.send_buf.len();
+        let (halo_bytes, send_bytes) = ((halo_len * 8) as u64, (send_len * 8) as u64);
+        let mut ex: Option<Exchange<'_, '_>> = None;
+        let mut res = Ok(());
+        for step in steps {
+            if res.is_err() && !matches!(step, Step::Sync(_)) {
+                continue;
+            }
+            match step {
+                Step::PostRecvs | Step::Send | Step::Wait => {
+                    let (ops, bytes) = match step {
+                        Step::PostRecvs => (sched.pre(), halo_bytes),
+                        Step::Send => (sched.begin(), send_bytes),
+                        _ => (sched.finish(), halo_bytes),
+                    };
+                    // posted receives never read the send buffer, which
+                    // the gather may still be writing
+                    let send: &[f64] = if step == Step::PostRecvs {
+                        &[]
+                    } else {
+                        // SAFETY: the gather completed before the sends
+                        // (see above) and no step writes the send buffer
+                        // again this SpMV, so a shared view is sound.
+                        unsafe { std::slice::from_raw_parts(self.send.raw(), send_len) }
+                    };
+                    let run = ex.get_or_insert_with(|| {
+                        // SAFETY: only the lane holding the comm steps
+                        // touches the halo and the scratch until its Wait
+                        // drops the exchange; the kernels before that read
+                        // the local part only.
+                        let (halo, scratch) = unsafe {
+                            (
+                                std::slice::from_raw_parts_mut(
+                                    self.x_ext.raw().add(nloc),
+                                    halo_len,
+                                ),
+                                std::slice::from_raw_parts_mut(
+                                    self.scratch.raw(),
+                                    eng.scratch.len(),
+                                ),
+                            )
+                        };
+                        Exchange::new(sched, &eng.comm, halo, scratch)
+                    });
+                    if !ops.is_empty() {
+                        let (t, lane) = (tnow(trace), member.map_or(0, |ctx| ctx.tid));
+                        res = run.run(ops, send);
+                        rec(trace, lane, step.phase(), t, bytes, 0);
+                    }
+                    if res.is_err() || step == Step::Wait {
+                        // settle every request (or cancel them after a
+                        // fault) before the halo is handed to the kernels
+                        ex = None;
+                    }
+                }
+                Step::Gather => {
+                    let t = tnow(trace);
+                    // SAFETY: the local part of x_ext is never written
+                    // during an SpMV.
+                    let x_loc = unsafe { std::slice::from_raw_parts(self.x_ext.raw(), nloc) };
+                    let (lane, _) = self.on_compute_threads(member, |ctid| {
+                        let runs = eng.gather_chunks[ctid].clone();
+                        // SAFETY: gather_chunks partition the run set, so
+                        // each compute thread writes a disjoint slice of
+                        // the send buffer.
+                        unsafe {
+                            eng.gather_prog
+                                .execute_runs_raw(runs, x_loc, self.send.raw())
+                        };
+                    });
+                    let bytes = member.map_or(send_bytes, |_| 0);
+                    rec(trace, lane, step.phase(), t, bytes, 0);
+                }
+                Step::Kernel(part) => {
+                    let (kern, mat, chunks) = match part {
+                        Part::Full => (&eng.kern_full, &eng.mats.full, &eng.full_chunks),
+                        Part::Local => (&eng.kern_local, &eng.mats.local, &eng.local_chunks),
+                        Part::Nonlocal => {
+                            (&eng.kern_nonlocal, &eng.mats.nonlocal, &eng.nonlocal_chunks)
+                        }
+                    };
+                    let (xs, accumulate) = match part {
+                        Part::Full => (0..nloc + halo_len, false),
+                        Part::Local => (0..nloc, false),
+                        Part::Nonlocal => (nloc..nloc + halo_len, true),
+                    };
+                    let t = tnow(trace);
+                    // SAFETY: a kernel reading the halo runs after the Wait
+                    // (see above), so nothing writes its x range now.
+                    let x = unsafe {
+                        std::slice::from_raw_parts(self.x_ext.raw().add(xs.start), xs.len())
+                    };
+                    let (lane, ctids) = self.on_compute_threads(member, |ctid| {
+                        let rows = chunks[ctid].clone();
+                        // SAFETY: chunks are disjoint row ranges of y.
+                        unsafe { kern.spmv_rows_raw(mat, rows, x, self.y.raw(), accumulate) };
+                    });
+                    let rows = chunks[ctids.start].start..chunks[ctids.end - 1].end;
+                    rec(trace, lane, step.phase(), t, 0, chunk_nnz(mat, &rows));
+                }
+                Step::Sync(_) => {
+                    // a one-lane table has no other lane to meet
+                    if let Some(ctx) = member {
+                        let t = tnow(trace);
+                        ctx.barrier();
+                        rec(trace, ctx.tid, step.phase(), t, 0, 0);
+                    }
+                }
+            }
+        }
+        res
+    }
+
+    /// Runs `f(ctid)` for the compute threads a walker stands for and
+    /// returns their trace lane and chunk indices: a team member runs its
+    /// own chunk; the calling thread runs every chunk in one team region
+    /// (inline without a team; an idle comm thread skips the region).
+    fn on_compute_threads(
+        &self,
+        member: Option<&TeamCtx<'_>>,
+        f: impl Fn(usize) + std::marker::Sync,
+    ) -> (usize, Range<usize>) {
+        let c = self.eng.cfg.compute_threads;
+        match (member, &self.eng.team) {
+            (Some(ctx), _) => {
+                f(ctx.tid - 1);
+                (ctx.tid, ctx.tid - 1..ctx.tid)
+            }
+            (None, Some(team)) => {
+                team.run(|ctx| {
+                    if ctx.tid < c {
+                        f(ctx.tid);
+                    }
+                });
+                (1, 0..c)
+            }
+            (None, None) => {
+                f(0);
+                (1, 0..1)
+            }
         }
     }
 }
@@ -1473,6 +1353,71 @@ mod tests {
         eng.x_local_mut().fill(1.0);
         eng.spmv(KernelMode::VectorNoOverlap);
         assert!(eng.take_trace().is_none());
+    }
+
+    #[test]
+    fn comm_strategy_values_parse_or_are_rejected() {
+        let na = |ranks_per_node| Some(CommStrategy::NodeAware { ranks_per_node });
+        for (v, want) in [
+            ("flat", Some(CommStrategy::Flat)),
+            ("node-aware", na(4)),
+            ("node_aware", na(4)),
+            ("nodeaware", na(4)),
+            ("node-aware:1", na(1)),
+            ("node-aware:3", na(3)),
+            ("node_aware:2", na(2)),
+            ("nodeaware:8", na(8)),
+            ("node-aware:0", None),
+            ("node-aware:x", None),
+            ("node-aware:", None),
+            ("bogus", None),
+            ("", None),
+        ] {
+            assert_eq!(CommStrategy::parse_env(v), want, "{v:?}");
+        }
+        assert_eq!(CommStrategy::parse("node-aware", 0), None);
+        assert_eq!(CommStrategy::parse("flat", 0), Some(CommStrategy::Flat));
+    }
+
+    /// A set-but-unparsable `SPMV_COMM_STRATEGY` panics when a config is
+    /// built. Checked in child runs of this test binary, so the variable
+    /// never reaches the other tests of the process.
+    #[test]
+    fn bad_comm_strategy_env_panics_at_config_construction() {
+        const CHILD: &str = "SPMV_TEST_ENV_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            let _ = EngineConfig::default();
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary path is known");
+        for (v, ok) in [
+            ("bogus", false),
+            ("node-aware:0", false),
+            ("node-aware:x", false),
+            ("node-aware:2", true),
+            ("flat", true),
+        ] {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "engine::tests::bad_comm_strategy_env_panics_at_config_construction",
+                    "--nocapture",
+                ])
+                .env(CHILD, "1")
+                .env("SPMV_COMM_STRATEGY", v)
+                .output()
+                .expect("child test run starts");
+            assert_eq!(out.status.success(), ok, "SPMV_COMM_STRATEGY={v}");
+            if !ok {
+                let text =
+                    String::from_utf8_lossy(&out.stderr) + String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    text.contains("SPMV_COMM_STRATEGY")
+                        && text.contains("node-aware:<ranks per node"),
+                    "{v}: panic must name the variable and the accepted forms: {text}"
+                );
+            }
+        }
     }
 
     #[test]

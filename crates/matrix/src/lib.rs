@@ -28,7 +28,6 @@
 
 pub mod coo;
 pub mod csr;
-pub mod ell;
 pub mod holstein;
 pub mod io;
 pub mod perm;
@@ -43,7 +42,6 @@ pub mod vecops;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrBuilder, CsrMatrix};
-pub use ell::EllMatrix;
 pub use perm::Permutation;
 pub use sell::SellMatrix;
 pub use sym::SymmetricCsr;

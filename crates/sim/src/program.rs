@@ -1,7 +1,9 @@
 //! Lowering a kernel mode to per-rank lane programs with byte-accurate
 //! costs.
 //!
-//! Every rank runs one or two *lanes* (sequential activity lists):
+//! Every rank runs the *lanes* (sequential activity lists) of its mode's
+//! step table ([`KernelMode::lanes`], the table the engine runs), lowered
+//! step by step:
 //!
 //! * vector modes — a single lane interleaving communication calls and
 //!   compute, exactly Fig. 4a/b;
@@ -17,6 +19,7 @@
 //! accounting here rather than being inserted by hand.
 
 use crate::progress::ProgressModel;
+use spmv_core::modes::{Part, Step};
 use spmv_core::{KernelMode, RankWorkload};
 use spmv_obs::Phase;
 
@@ -116,68 +119,39 @@ fn gather_bytes(elems: usize) -> f64 {
 /// The lane programs of one rank for one SpMV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankProgram {
-    /// 1 (vector modes) or 2 (task mode: `lanes[0]` = comm, `lanes[1]` =
-    /// compute) activity lists.
+    /// One activity list per lane of the mode's step table: 1 (vector
+    /// modes) or 2 (task mode: `lanes[0]` = comm, `lanes[1]` = compute).
     pub lanes: Vec<Vec<Op>>,
 }
 
 /// Builds the lane programs for `workload` under `cfg`.
 pub fn build_program(workload: &RankWorkload, cfg: &SimConfig) -> RankProgram {
     let w = workload;
-    let full = Op::Compute {
-        bytes: phase_bytes(w.nnz(), w.rows, w.rows + w.halo_elems, cfg.kappa),
-        phase: Phase::SpmvFull,
+    let kernel_bytes = |part| match part {
+        Part::Full => phase_bytes(w.nnz(), w.rows, w.rows + w.halo_elems, cfg.kappa),
+        Part::Local => phase_bytes(w.local_nnz, w.rows, w.rows, cfg.kappa),
+        // The non-local phase re-writes the whole result vector — that
+        // second write is exactly the Eq.-2 delta. κ applies to *all*
+        // nonzeros, as in the paper's Eq. 2 (the κ/2 term is unchanged
+        // between Eq. 1 and 2): for strongly coupled matrices the halo is
+        // far from cache-resident.
+        Part::Nonlocal => phase_bytes(w.nonlocal_nnz, w.rows, w.halo_elems, cfg.kappa),
     };
-    let local = Op::Compute {
-        bytes: phase_bytes(w.local_nnz, w.rows, w.rows, cfg.kappa),
-        phase: Phase::SpmvLocal,
+    let lower = |step: &Step| match *step {
+        Step::PostRecvs => Op::PostRecvs,
+        Step::Gather => Op::Gather,
+        Step::Send => Op::SendAll,
+        Step::Kernel(part) => Op::Compute {
+            bytes: kernel_bytes(part),
+            phase: step.phase(),
+        },
+        Step::Wait => Op::WaitAll,
+        Step::Sync(k) => Op::TeamBarrier(k),
     };
-    // The non-local phase re-writes the whole result vector — that second
-    // write is exactly the Eq.-2 delta. κ applies to *all* nonzeros, as in
-    // the paper's Eq. 2 (the κ/2 term is unchanged between Eq. 1 and 2):
-    // for strongly coupled matrices the halo is far from cache-resident.
-    let nonlocal = Op::Compute {
-        bytes: phase_bytes(w.nonlocal_nnz, w.rows, w.halo_elems, cfg.kappa),
-        phase: Phase::SpmvNonlocal,
-    };
-    match cfg.mode {
-        KernelMode::VectorNoOverlap => RankProgram {
-            lanes: vec![vec![
-                Op::PostRecvs,
-                Op::Gather,
-                Op::SendAll,
-                Op::WaitAll,
-                full,
-            ]],
-        },
-        KernelMode::VectorNaiveOverlap => RankProgram {
-            lanes: vec![vec![
-                Op::PostRecvs,
-                Op::Gather,
-                Op::SendAll,
-                local,
-                Op::WaitAll,
-                nonlocal,
-            ]],
-        },
-        KernelMode::TaskMode => RankProgram {
-            lanes: vec![
-                vec![
-                    Op::PostRecvs,
-                    Op::TeamBarrier(1),
-                    Op::SendAll,
-                    Op::WaitAll,
-                    Op::TeamBarrier(2),
-                ],
-                vec![
-                    Op::Gather,
-                    Op::TeamBarrier(1),
-                    local,
-                    Op::TeamBarrier(2),
-                    nonlocal,
-                ],
-            ],
-        },
+    RankProgram {
+        lanes: (cfg.mode.lanes().iter())
+            .map(|lane| lane.iter().map(lower).collect())
+            .collect(),
     }
 }
 

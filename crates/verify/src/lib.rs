@@ -9,13 +9,12 @@
 //!    acyclic, and deadlock-free, or return typed [`PlanViolation`]s.
 //! 2. **Interleaving exploration** — [`explore`] is a loom-style
 //!    model checker over the engine's yield points; [`script`] builds
-//!    model programs from the engine's own halo-exchange schedules
-//!    (flat or node-aware) for all three kernel modes, so exhaustive
+//!    model programs by lowering the step table each kernel mode's engine
+//!    runs over its halo-exchange schedule (flat or node-aware), so exhaustive
 //!    search proves deadlock-freedom and bit-identical results across
 //!    every interleaving on small worlds.
 //! 3. **Workspace lints** — [`lint`] backs the `spmv-lint` binary:
-//!    SAFETY-comment coverage, unwrap burndown in hot crates, and
-//!    blocking calls in the task-mode comm thread.
+//!    SAFETY-comment coverage and unwrap burndown in hot crates.
 
 pub mod explore;
 pub mod lint;

@@ -1,7 +1,7 @@
 //! Workspace source lints.
 //!
 //! A deliberately small, dependency-free lint pass over the workspace's
-//! `.rs` files, covering the three hazards this codebase has actually hit
+//! `.rs` files, covering the two hazards this codebase has actually hit
 //! or is structurally exposed to:
 //!
 //! * [`LINT_SAFETY`] — an `unsafe` block, impl, or fn without an adjacent
@@ -9,11 +9,7 @@
 //!   doc section) stating the invariant that makes it sound;
 //! * [`LINT_UNWRAP`] — `.unwrap()` (or an `.expect` with a vacuous
 //!   message) in `crates/comm` / `crates/core` non-test code, where a
-//!   panic takes down a rank mid-collective;
-//! * [`LINT_TASK_MODE`] — a *blocking* infallible comm call inside the
-//!   engine's task-mode body: the dedicated comm thread must use the
-//!   `try_*` API and reach both barriers even on error, or the compute
-//!   team deadlocks on B1/B2.
+//!   panic takes down a rank mid-collective.
 //!
 //! The scanner is line-based with a small token-level pass that strips
 //! comments and string literals, so lints fire on code, not prose. Each
@@ -27,11 +23,9 @@ use std::path::{Path, PathBuf};
 pub const LINT_SAFETY: &str = "safety-comment";
 /// Lint id: `.unwrap()` / vacuous `.expect` in hot crates.
 pub const LINT_UNWRAP: &str = "unwrap";
-/// Lint id: blocking comm call in the task-mode comm thread.
-pub const LINT_TASK_MODE: &str = "task-mode-blocking";
 
 /// All lint ids, in reporting order.
-pub const ALL_LINTS: [&str; 3] = [LINT_SAFETY, LINT_UNWRAP, LINT_TASK_MODE];
+pub const ALL_LINTS: [&str; 2] = [LINT_SAFETY, LINT_UNWRAP];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,75 +417,6 @@ pub fn lint_unwrap(path: &Path, text: &str) -> Vec<Finding> {
     findings
 }
 
-// -- lint 3: blocking comm calls in the task-mode comm thread ---------------
-
-/// Infallible blocking `Comm` calls (panic on fault, park forever on a
-/// missing peer) that must not be reachable from the task-mode comm
-/// thread: it has to reach barriers B1/B2 even on error.
-const BLOCKING_COMM_CALLS: [&str; 5] = [
-    "comm.send(",
-    "comm.recv(",
-    "comm.wait(",
-    "comm.waitall(",
-    "comm.barrier(",
-];
-
-/// Lints the body of every `fn task_mode*` in `text` for blocking comm
-/// calls (used on `crates/core/src/engine.rs`).
-pub fn lint_task_mode(path: &Path, text: &str) -> Vec<Finding> {
-    let views = scan_lines(text);
-    let raw: Vec<&str> = text.lines().collect();
-    let mut findings = Vec::new();
-    let mut depth = 0i64;
-    let mut body_floor: Option<i64> = None;
-    let mut pending_fn = false;
-    for (ln, v) in views.iter().enumerate() {
-        let code = &v.code;
-        if body_floor.is_none() && word_find(code, "fn").is_some() && code.contains("fn task_mode")
-        {
-            pending_fn = true;
-        }
-        if body_floor.is_some() {
-            for call in BLOCKING_COMM_CALLS {
-                if code.contains(call) {
-                    findings.push(Finding {
-                        lint: LINT_TASK_MODE,
-                        path: path.to_path_buf(),
-                        line: ln + 1,
-                        message: format!(
-                            "blocking `{}` reachable from the task-mode comm thread",
-                            call.trim_end_matches('(')
-                        ),
-                        suggestion: "use the `try_*` checked variant and surface the error \
-                                     through the shared error slot, so B1/B2 are always reached"
-                            .to_string(),
-                        snippet: raw.get(ln).map_or(String::new(), |s| s.trim().to_string()),
-                    });
-                }
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    if pending_fn {
-                        body_floor = Some(depth);
-                        pending_fn = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if body_floor == Some(depth) {
-                        body_floor = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    findings
-}
-
 // -- driver -----------------------------------------------------------------
 
 /// Finds the workspace root by walking up from `start` to the first
@@ -554,14 +479,6 @@ pub fn run_lints(root: &Path, only: Option<&str>) -> Vec<Finding> {
         }
         if wants(LINT_UNWRAP) && unwrap_lint_applies(&rel) {
             findings.extend(lint_unwrap(&rel, &text));
-        }
-        if wants(LINT_TASK_MODE)
-            && rel
-                .to_string_lossy()
-                .replace('\\', "/")
-                .ends_with("crates/core/src/engine.rs")
-        {
-            findings.extend(lint_task_mode(&rel, &text));
         }
     }
     findings
@@ -641,27 +558,6 @@ mod tests {
         let f = lint_unwrap(Path::new("crates/core/src/x.rs"), text);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn task_mode_lint_flags_blocking_calls_only_inside_body() {
-        let text = r#"
-fn elsewhere(&self) {
-    self.comm.barrier();
-}
-fn task_mode(&mut self) -> Result<(), CommError> {
-    self.comm.recv(0, 1, &mut buf);
-    self.comm.try_recv(0, 1, &mut buf)?;
-    Ok(())
-}
-fn after(&self) {
-    self.comm.waitall(reqs);
-}
-"#;
-        let f = lint_task_mode(Path::new("crates/core/src/engine.rs"), text);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 6);
-        assert!(f[0].message.contains("comm.recv"));
     }
 
     #[test]

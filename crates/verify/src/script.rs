@@ -1,12 +1,12 @@
 //! Model programs derived from real halo-exchange schedules.
 //!
 //! [`build_world`] turns a matrix + rank count + [`KernelMode`] +
-//! [`CommStrategy`] into a [`ModelWorld`] whose procs execute each rank's
-//! [`HaloSchedule`] — the op list the engine runs — placed around the
-//! gather, the barriers and the split kernels where the mode places it, over
-//! the rank's real split matrices. Exploring that world therefore checks the
-//! engine's interleaving structure, not a toy, for the flat and the
-//! node-aware exchange alike.
+//! [`CommStrategy`] into a [`ModelWorld`] by lowering the mode's step
+//! table ([`KernelMode::lanes`], the table the engine runs) step by step:
+//! exchange steps become the ops of the matching [`HaloSchedule`] stage,
+//! gather and kernel steps run over the rank's real split matrices.
+//! Exploring that world therefore checks the engine's interleaving
+//! structure, not a toy, for the flat and the node-aware exchange alike.
 //!
 //! Buffer layout per rank `r` (four buffers each):
 //! * `4r`     — `x_ext = [local | halo]`, the extended RHS;
@@ -14,11 +14,13 @@
 //! * `4r + 2` — `y`, the rank's slice of the result;
 //! * `4r + 3` — the node-aware leader scratch (empty elsewhere).
 //!
-//! Vector modes are one proc per rank. Task mode is two procs per rank —
-//! the dedicated comm thread and the compute team — synchronized by the
-//! B1/B2 barriers of Fig. 4c (barrier ids `2r` and `2r + 1`).
+//! Each lane of the table is one proc per rank: one for the vector modes,
+//! two for task mode (the dedicated comm thread and the compute team),
+//! whose `Sync(1)` / `Sync(2)` steps (B1 / B2 of Fig. 4c) become barriers
+//! `2r` and `2r + 1`.
 
 use crate::explore::{MOp, ModelWorld, Program};
+use spmv_core::modes::{Part, Step};
 use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
 use spmv_core::schedule::{Buf, XOp};
 use spmv_core::{CommStrategy, HaloSchedule, KernelMode, RowPartition, SplitMatrix};
@@ -110,6 +112,11 @@ pub fn build_world(
     let mut layout = Vec::with_capacity(ranks);
     let mut procs = Vec::new();
     let mut barrier_groups = Vec::new();
+    // barrier ids per rank: `syncs * r + k - 1` for the table's `Sync(k)`
+    let syncs = mode.lanes()[0]
+        .iter()
+        .filter(|s| matches!(s, Step::Sync(_)))
+        .count();
     for (r, (plan, sched)) in plans.iter().zip(&schedules).enumerate() {
         let range = partition.range(r);
         let split = SplitMatrix::build(&matrix.row_block(range.clone()), plan);
@@ -128,10 +135,6 @@ pub fn build_world(
             indices: Rc::new(sched.gather.clone()),
             dst: sb,
         };
-        let mut posted = Vec::new();
-        let pre = lower(r, nloc, sched.pre(), &mut posted);
-        let begin = lower(r, nloc, sched.begin(), &mut posted);
-        let finish = lower(r, nloc, sched.finish(), &mut posted);
         let spmv = |mat: &CsrMatrix, x_off: usize, accumulate: bool| MOp::Spmv {
             mat: Rc::new(mat.clone()),
             x_buf: xb,
@@ -140,49 +143,31 @@ pub fn build_world(
             accumulate,
         };
 
-        match mode {
-            KernelMode::VectorNoOverlap => {
-                // Fig. 4a: gather, exchange to completion, one full kernel.
-                let mut ops = vec![gather];
-                ops.extend(pre.into_iter().chain(begin).chain(finish));
-                ops.push(spmv(&split.full, 0, false));
-                procs.push(Program { rank: r, ops });
+        // one proc per lane of the mode's step table; the lanes of a rank
+        // all meet at each of its `Sync` barriers
+        let lanes = mode.lanes();
+        let first_proc = procs.len();
+        for lane in lanes {
+            let mut posted = Vec::new();
+            let mut ops = Vec::new();
+            for &step in lane.iter() {
+                match step {
+                    Step::PostRecvs => ops.extend(lower(r, nloc, sched.pre(), &mut posted)),
+                    Step::Send => ops.extend(lower(r, nloc, sched.begin(), &mut posted)),
+                    Step::Wait => ops.extend(lower(r, nloc, sched.finish(), &mut posted)),
+                    Step::Gather => ops.push(gather.clone()),
+                    Step::Kernel(Part::Full) => ops.push(spmv(&split.full, 0, false)),
+                    Step::Kernel(Part::Local) => ops.push(spmv(&split.local, 0, false)),
+                    Step::Kernel(Part::Nonlocal) => ops.push(spmv(&split.nonlocal, nloc, true)),
+                    Step::Sync(k) => {
+                        let id = syncs * r + usize::from(k) - 1;
+                        barrier_groups.resize(syncs * (r + 1), Vec::new());
+                        barrier_groups[id] = (first_proc..first_proc + lanes.len()).collect();
+                        ops.push(MOp::Barrier { id });
+                    }
+                }
             }
-            KernelMode::VectorNaiveOverlap => {
-                // Fig. 4b: the local kernel runs between posting the sends
-                // and completing the exchange.
-                let mut ops = vec![gather];
-                ops.extend(pre.into_iter().chain(begin));
-                ops.push(spmv(&split.local, 0, false));
-                ops.extend(finish);
-                ops.push(spmv(&split.nonlocal, nloc, true));
-                procs.push(Program { rank: r, ops });
-            }
-            KernelMode::TaskMode => {
-                // Fig. 4c: a dedicated comm proc drives the exchange while
-                // the compute proc runs the local kernel between B1 and B2.
-                let b1 = MOp::Barrier { id: 2 * r };
-                let b2 = MOp::Barrier { id: 2 * r + 1 };
-                let comm_proc = procs.len();
-                let mut ops = pre;
-                ops.push(b1.clone());
-                ops.extend(begin.into_iter().chain(finish));
-                ops.push(b2.clone());
-                procs.push(Program { rank: r, ops });
-                procs.push(Program {
-                    rank: r,
-                    ops: vec![
-                        gather,
-                        b1,
-                        spmv(&split.local, 0, false),
-                        b2,
-                        spmv(&split.nonlocal, nloc, true),
-                    ],
-                });
-                barrier_groups.resize(2 * r + 2, Vec::new());
-                barrier_groups[2 * r] = vec![comm_proc, comm_proc + 1];
-                barrier_groups[2 * r + 1] = vec![comm_proc, comm_proc + 1];
-            }
+            procs.push(Program { rank: r, ops });
         }
     }
 

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use spmv_machine::{CommThreadPlacement, HybridLayout};
     pub use spmv_matrix::holstein::{self, HolsteinOrdering, HolsteinParams, PhononTruncation};
     pub use spmv_matrix::samg::{self, SamgParams};
-    pub use spmv_matrix::{synthetic, vecops, CsrMatrix, EllMatrix, SellMatrix, SymmetricCsr};
+    pub use spmv_matrix::{synthetic, vecops, CsrMatrix, SellMatrix, SymmetricCsr};
     pub use spmv_model::{code_balance_crs, code_balance_sell, code_balance_split, estimate_kappa};
     pub use spmv_obs::{
         chrome_trace_json, metrics_json, text_timeline, ModelDrift, Phase, RunTrace, TraceMetrics,

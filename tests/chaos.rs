@@ -135,72 +135,80 @@ fn recoverable_faults_are_bit_identically_invisible() {
 }
 
 /// A stalled rank must produce a watchdog dump and typed errors on every
-/// rank — not a hang.
+/// rank — not a hang — in every kernel mode: task mode's comm lane records
+/// the error and still meets the compute lane at both barriers.
 #[test]
 fn stall_triggers_watchdog_dump_not_hang() {
     let m = test_matrix();
     let partition = RowPartition::by_nnz(&m, RANKS);
-    let comms = CommWorld::builder(RANKS)
-        .node_map(node_map())
-        .faults(FaultPlan::new(7).stall_rank(2, 10))
-        .watchdog(Duration::from_millis(100))
-        .build();
-    let cfg = cfg_for(KernelMode::VectorNoOverlap, CommStrategy::Flat);
-    let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
-        for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
-            *v = i as f64 * 0.01 + 1.0;
-        }
-        for _ in 0..1000 {
-            if let Err(e) = eng.spmv_checked(KernelMode::VectorNoOverlap) {
-                return Some(e);
+    for mode in KernelMode::ALL {
+        let comms = CommWorld::builder(RANKS)
+            .node_map(node_map())
+            .faults(FaultPlan::new(7).stall_rank(2, 10))
+            .watchdog(Duration::from_millis(100))
+            .build();
+        let cfg = cfg_for(mode, CommStrategy::Flat);
+        let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
+            for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
+                *v = i as f64 * 0.01 + 1.0;
             }
-        }
-        None
-    });
-    // every rank fails fast with a Poisoned error carrying the dump
-    for (rank, err) in errors.into_iter().enumerate() {
-        let err = err.unwrap_or_else(|| panic!("rank {rank} never saw the stall"));
-        match err {
-            CommError::Poisoned { report } => {
-                assert!(report.blocked_ranks() >= 1);
-                let text = report.to_string();
-                assert!(
-                    text.contains("rank"),
-                    "dump should list per-rank pending ops: {text}"
-                );
+            for _ in 0..1000 {
+                if let Err(e) = eng.spmv_checked(mode) {
+                    return Some(e);
+                }
             }
-            other => panic!("rank {rank}: expected Poisoned, got {other}"),
+            None
+        });
+        // every rank fails fast with a Poisoned error carrying the dump
+        for (rank, err) in errors.into_iter().enumerate() {
+            let err = err.unwrap_or_else(|| panic!("{mode}: rank {rank} never saw the stall"));
+            match err {
+                CommError::Poisoned { report } => {
+                    assert!(report.blocked_ranks() >= 1, "{mode}");
+                    let text = report.to_string();
+                    assert!(
+                        text.contains("rank"),
+                        "{mode}: dump should list per-rank pending ops: {text}"
+                    );
+                }
+                other => panic!("{mode}: rank {rank}: expected Poisoned, got {other}"),
+            }
         }
     }
 }
 
 /// A killed rank surfaces as `PeerDead` on itself and its partners and the
-/// watchdog converts any secondary stall into `Poisoned` — never a hang.
+/// watchdog converts any secondary stall into `Poisoned` — never a hang,
+/// in every kernel mode.
 #[test]
 fn killed_rank_fails_fast_with_typed_errors() {
     let m = synthetic::random_banded_symmetric(60, 9, 4.0, 3);
     let ranks = 3; // band 9 over 20-row blocks: every rank talks to rank 1
     let partition = RowPartition::by_nnz(&m, ranks);
-    let comms = CommWorld::builder(ranks)
-        .faults(FaultPlan::new(9).kill_rank(1, 8))
-        .watchdog(Duration::from_millis(100))
-        .build();
-    let cfg = cfg_for(KernelMode::VectorNoOverlap, CommStrategy::Flat);
-    let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
-        for v in eng.x_local_mut().iter_mut() {
-            *v = 1.0;
-        }
-        for _ in 0..1000 {
-            if let Err(e) = eng.spmv_checked(KernelMode::VectorNoOverlap) {
-                return Some(e);
+    for mode in KernelMode::ALL {
+        let comms = CommWorld::builder(ranks)
+            .faults(FaultPlan::new(9).kill_rank(1, 8))
+            .watchdog(Duration::from_millis(100))
+            .build();
+        let cfg = cfg_for(mode, CommStrategy::Flat);
+        let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
+            for v in eng.x_local_mut().iter_mut() {
+                *v = 1.0;
             }
-        }
-        None
-    });
-    for (rank, err) in errors.into_iter().enumerate() {
-        match err {
-            Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
-            other => panic!("rank {rank}: expected PeerDead or Poisoned, got {other:?}"),
+            for _ in 0..1000 {
+                if let Err(e) = eng.spmv_checked(mode) {
+                    return Some(e);
+                }
+            }
+            None
+        });
+        for (rank, err) in errors.into_iter().enumerate() {
+            match err {
+                Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
+                other => {
+                    panic!("{mode}: rank {rank}: expected PeerDead or Poisoned, got {other:?}")
+                }
+            }
         }
     }
 }

@@ -12,6 +12,7 @@
 //! as first-class events, not vanish into anonymous waitall time.
 
 use spmv_comm::{CommWorld, FaultPlan};
+use spmv_core::modes::Step;
 use spmv_core::{run_spmd_on_world, CommStrategy, EngineConfig, KernelMode, RowPartition};
 use spmv_matrix::{synthetic, CsrMatrix};
 use spmv_obs::{
@@ -243,6 +244,78 @@ fn all_modes_record_their_phases() {
                 "{mode:?} under {strategy:?}: ring buffers overflowed"
             );
             assert!(trace.makespan() > 0.0);
+        }
+    }
+}
+
+/// The engine runs the table it publishes: one traced SpMV per mode on
+/// the flat exchange, and each rank's recorded phases follow the mode's
+/// step table ([`KernelMode::lanes`]), the table the explorer proves and
+/// the simulator prices. Task mode's comm lane (trace lane 0) and every
+/// compute lane are compared with their own table lane; a vector mode's
+/// comm and compute spans are merged by start time. Exchange stages with
+/// no ops record no span, so they are left out of the expectation.
+#[test]
+fn engine_follows_the_mode_step_table() {
+    let m = test_matrix();
+    let partition = RowPartition::by_nnz(&m, RANKS);
+    for mode in KernelMode::ALL {
+        let world = CommWorld::builder(RANKS).build();
+        let cfg = cfg_for(mode)
+            .with_tracing(true)
+            .with_comm_strategy(CommStrategy::Flat);
+        let compute_lanes = cfg.compute_threads;
+        let per_rank = run_spmd_on_world(world, &m, &partition, cfg, |eng| {
+            eng.x_local_mut().fill(1.0);
+            eng.spmv(mode);
+            let sched = eng.schedule();
+            let empty = [
+                (Step::PostRecvs, sched.pre().is_empty()),
+                (Step::Send, sched.begin().is_empty()),
+                (Step::Wait, sched.finish().is_empty()),
+            ];
+            let trace = eng.take_trace().expect("tracing enabled");
+            (trace, empty)
+        });
+        for (trace, empty) in per_rank {
+            let rank = trace.rank;
+            let expect = |lane: &[Step]| -> Vec<Phase> {
+                lane.iter()
+                    .filter(|s| !empty.contains(&(**s, true)))
+                    .map(|s| s.phase())
+                    .collect()
+            };
+            let recorded = |lanes: &[usize]| -> Vec<Phase> {
+                let mut spans: Vec<_> = trace
+                    .events
+                    .iter()
+                    .filter(|e| lanes.contains(&e.lane))
+                    .collect();
+                spans.sort_by(|a, b| (a.t0, a.t1).partial_cmp(&(b.t0, b.t1)).expect("finite"));
+                spans.iter().map(|e| e.phase).collect()
+            };
+            match mode.lanes() {
+                [lane] => assert_eq!(
+                    recorded(&[0, 1]),
+                    expect(lane),
+                    "{mode}: rank {rank} left its table"
+                ),
+                [comm, compute] => {
+                    assert_eq!(
+                        recorded(&[0]),
+                        expect(comm),
+                        "{mode}: rank {rank} comm lane left its table"
+                    );
+                    for lane in 1..=compute_lanes {
+                        assert_eq!(
+                            recorded(&[lane]),
+                            expect(compute),
+                            "{mode}: rank {rank} compute lane {lane} left its table"
+                        );
+                    }
+                }
+                _ => unreachable!("a kernel mode has one or two lanes"),
+            }
         }
     }
 }
