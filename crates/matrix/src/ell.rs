@@ -1,152 +1,18 @@
-//! ELLPACK-R storage — the main alternative format evaluated by the
-//! related work the paper cites ([1] Goumas et al., [2] Williams et al.,
-//! [3] Bell & Garland). The paper asserts CRS "is broadly recognized as
-//! the most efficient format for general sparse matrices on cache-based
-//! microprocessors" (§1.2); this module provides the comparison point (and
-//! the `formats` Criterion bench measures it on the host).
+//! ELLPACK-R checked as SELL-N-1.
 //!
-//! ELLPACK pads every row to the maximum row length and stores values
-//! column-major (`val[k·N + i]` = k-th entry of row i), which vectorizes
-//! beautifully on GPUs/vector machines but wastes bandwidth on CPUs
-//! whenever row lengths vary. The "-R" variant keeps explicit row lengths
-//! so the kernel skips padding arithmetic (not padding *storage*).
+//! ELLPACK-R pads every row to the longest one, stores the entries
+//! slot-major and keeps per-row lengths. That is [`SellMatrix`] with one
+//! chunk of all N rows and no sorting, so the layout has no type of its own;
+//! these tests check the ELLPACK-R properties on that configuration.
 
 use crate::csr::CsrMatrix;
+use crate::sell::SellMatrix;
 
-/// A sparse matrix in ELLPACK-R layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EllMatrix {
-    nrows: usize,
-    ncols: usize,
-    /// Maximum row length (the padded width).
-    width: usize,
-    /// Column-major padded column indices (`width × nrows`); padding slots
-    /// hold the row's own index so gathers stay in-bounds.
-    col_idx: Vec<u32>,
-    /// Column-major padded values; padding slots hold 0.0.
-    values: Vec<f64>,
-    /// Actual nonzeros per row.
-    row_len: Vec<u32>,
-    /// Total stored nonzeros (without padding).
-    nnz: usize,
+/// The ELLPACK-R layout of `m`: SELL-N-1.
+fn ellpack_r(m: &CsrMatrix) -> SellMatrix {
+    SellMatrix::from_csr(m, m.nrows(), 1)
 }
 
-impl EllMatrix {
-    /// Converts from CSR.
-    pub fn from_csr(m: &CsrMatrix) -> Self {
-        let nrows = m.nrows();
-        let width = m.max_nnz_per_row();
-        let mut col_idx = vec![0u32; width * nrows];
-        let mut values = vec![0.0f64; width * nrows];
-        let mut row_len = vec![0u32; nrows];
-        for i in 0..nrows {
-            let (cols, vals) = m.row(i);
-            row_len[i] = cols.len() as u32;
-            for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                col_idx[k * nrows + i] = c;
-                values[k * nrows + i] = v;
-            }
-            // padding: self-referencing zero entries
-            for k in cols.len()..width {
-                col_idx[k * nrows + i] = i.min(m.ncols().saturating_sub(1)) as u32;
-            }
-        }
-        Self {
-            nrows,
-            ncols: m.ncols(),
-            width,
-            col_idx,
-            values,
-            row_len,
-            nnz: m.nnz(),
-        }
-    }
-
-    /// Converts back to CSR (drops padding).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut b = crate::csr::CsrBuilder::new(self.ncols, self.nnz);
-        for i in 0..self.nrows {
-            for k in 0..self.row_len[i] as usize {
-                b.push(
-                    self.col_idx[k * self.nrows + i] as usize,
-                    self.values[k * self.nrows + i],
-                );
-            }
-            b.finish_row();
-        }
-        b.build()
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Stored nonzeros (without padding).
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Padded width (max row length).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Fraction of padded slots that are real nonzeros — the format's
-    /// storage efficiency (1.0 = perfectly regular rows).
-    pub fn fill_efficiency(&self) -> f64 {
-        if self.nrows == 0 || self.width == 0 {
-            return 1.0;
-        }
-        self.nnz as f64 / (self.width * self.nrows) as f64
-    }
-
-    /// Bytes of the padded arrays — compare with
-    /// [`CsrMatrix::storage_bytes`] to quantify the padding waste.
-    pub fn storage_bytes(&self) -> usize {
-        self.values.len() * 8 + self.col_idx.len() * 4 + self.row_len.len() * 4
-    }
-
-    /// SpMV `y = A x` in ELLPACK-R fashion: column-major sweep with
-    /// per-row early exit.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        y.fill(0.0);
-        for k in 0..self.width {
-            let cols = &self.col_idx[k * self.nrows..(k + 1) * self.nrows];
-            let vals = &self.values[k * self.nrows..(k + 1) * self.nrows];
-            for i in 0..self.nrows {
-                if (k as u32) < self.row_len[i] {
-                    y[i] += vals[i] * x[cols[i] as usize];
-                }
-            }
-        }
-    }
-
-    /// Row-major SpMV over the padded layout (no branch; multiplies the
-    /// zero padding) — the classic vector-machine formulation, usually the
-    /// slower one on CPUs for irregular rows.
-    pub fn spmv_padded(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for i in 0..self.nrows {
-            let mut sum = 0.0;
-            for k in 0..self.width {
-                sum +=
-                    self.values[k * self.nrows + i] * x[self.col_idx[k * self.nrows + i] as usize];
-            }
-            y[i] = sum;
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{synthetic, vecops};
@@ -154,7 +20,9 @@ mod tests {
     #[test]
     fn roundtrip_preserves_matrix() {
         let m = synthetic::random_banded_symmetric(150, 12, 5.0, 7);
-        let e = EllMatrix::from_csr(&m);
+        let e = ellpack_r(&m);
+        assert_eq!(e.n_chunks(), 1);
+        assert!(e.permutation().is_identity());
         assert_eq!(e.to_csr(), m);
         assert_eq!(e.nnz(), m.nnz());
     }
@@ -162,23 +30,23 @@ mod tests {
     #[test]
     fn both_kernels_match_csr() {
         let m = synthetic::random_general(200, 200, 9, 3);
-        let e = EllMatrix::from_csr(&m);
+        let e = ellpack_r(&m);
         let x = vecops::random_vec(200, 5);
         let mut y_csr = vec![0.0; 200];
         let mut y_ell = vec![0.0; 200];
-        let mut y_pad = vec![0.0; 200];
+        let mut y_rows = vec![0.0; 200];
         m.spmv(&x, &mut y_csr);
         e.spmv(&x, &mut y_ell);
-        e.spmv_padded(&x, &mut y_pad);
+        e.spmv_rows(0..200, &x, &mut y_rows, false);
         assert!(vecops::max_abs_diff(&y_csr, &y_ell) < 1e-12);
-        assert!(vecops::max_abs_diff(&y_csr, &y_pad) < 1e-12);
+        assert!(vecops::max_abs_diff(&y_csr, &y_rows) < 1e-12);
     }
 
     #[test]
     fn regular_rows_are_fully_efficient() {
         let m = synthetic::random_general(100, 100, 7, 1);
-        let e = EllMatrix::from_csr(&m);
-        assert_eq!(e.width(), 7);
+        let e = ellpack_r(&m);
+        assert_eq!(e.stored_entries(), 100 * 7);
         assert_eq!(e.fill_efficiency(), 1.0);
     }
 
@@ -192,9 +60,9 @@ mod tests {
         for i in 1..64 {
             coo.push(i, i, 1.0);
         }
-        let m = coo.to_csr().unwrap();
-        let e = EllMatrix::from_csr(&m);
-        assert_eq!(e.width(), 64);
+        let m = coo.to_csr().expect("arrow matrix is well formed");
+        let e = ellpack_r(&m);
+        assert_eq!(e.stored_entries(), 64 * 64);
         assert!(e.fill_efficiency() < 0.05, "fill {}", e.fill_efficiency());
         assert!(e.storage_bytes() > 10 * m.storage_bytes());
         // results still correct
@@ -207,26 +75,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_tiny_matrices() {
-        let m = crate::CooMatrix::new(3, 3).to_csr().unwrap();
-        let e = EllMatrix::from_csr(&m);
-        assert_eq!(e.width(), 0);
-        assert_eq!(e.fill_efficiency(), 1.0);
-        let x = [1.0; 3];
-        let mut y = [9.0; 3];
-        e.spmv(&x, &mut y);
-        assert_eq!(y, [0.0; 3]);
-    }
-
-    #[test]
     fn holstein_fill_efficiency_is_moderate() {
         use crate::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
         let h = hamiltonian(&HolsteinParams::test_scale(
             HolsteinOrdering::ElectronContiguous,
         ));
-        let e = EllMatrix::from_csr(&h);
         // Hamiltonian rows vary between ~8 and ~16 entries
-        let f = e.fill_efficiency();
+        let f = ellpack_r(&h).fill_efficiency();
         assert!((0.4..0.95).contains(&f), "fill {f}");
     }
 }

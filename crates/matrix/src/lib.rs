@@ -28,6 +28,8 @@
 
 pub mod coo;
 pub mod csr;
+#[cfg(test)]
+mod ell;
 pub mod holstein;
 pub mod io;
 pub mod perm;

@@ -460,42 +460,4 @@ mod tests {
         assert_eq!(s.n_chunks(), 100usize.div_ceil(16));
         assert!(s.storage_bytes() >= s.stored_entries() * 12);
     }
-
-    /// SELL-N-1 is ELLPACK-R: one chunk of all N rows padded to the
-    /// longest row, slot-major, unsorted, with per-row lengths.
-    #[test]
-    fn one_unsorted_chunk_is_ellpack_r() {
-        let ellpack_r = |m: &CsrMatrix| SellMatrix::from_csr(m, m.nrows(), 1);
-        // regular rows: no padding; the layout round-trips
-        let m = synthetic::random_general(100, 100, 7, 1);
-        let e = ellpack_r(&m);
-        assert_eq!((e.n_chunks(), e.fill_efficiency()), (1, 1.0));
-        assert!(e.permutation().is_identity());
-        assert_eq!(e.to_csr(), m);
-        // arrow matrix: one dense row pads every row to width n
-        let mut coo = crate::CooMatrix::new(64, 64);
-        for j in 0..64 {
-            coo.push(0, j, 1.0);
-        }
-        for i in 1..64 {
-            coo.push(i, i, 1.0);
-        }
-        let m = coo.to_csr().expect("arrow matrix is well formed");
-        let e = ellpack_r(&m);
-        assert_eq!(e.stored_entries(), 64 * 64);
-        assert!(e.fill_efficiency() < 0.05, "fill {}", e.fill_efficiency());
-        assert!(e.storage_bytes() > 10 * m.storage_bytes());
-        let x = vecops::random_vec(64, 2);
-        let (mut y_csr, mut y_ell) = (vec![0.0; 64], vec![0.0; 64]);
-        m.spmv(&x, &mut y_csr);
-        e.spmv(&x, &mut y_ell);
-        assert!(vecops::max_abs_diff(&y_csr, &y_ell) < 1e-12);
-        // Hamiltonian rows vary between ~8 and ~16 entries
-        use crate::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
-        let h = hamiltonian(&HolsteinParams::test_scale(
-            HolsteinOrdering::ElectronContiguous,
-        ));
-        let f = ellpack_r(&h).fill_efficiency();
-        assert!((0.4..0.95).contains(&f), "fill {f}");
-    }
 }
