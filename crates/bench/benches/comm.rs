@@ -3,6 +3,7 @@
 //! exchange primitive.
 
 use spmv_bench::microbench::{Bench, Unit};
+use spmv_bench::FAULT_FREE;
 use spmv_comm::collectives::ReduceOp;
 use spmv_comm::CommWorld;
 
@@ -15,15 +16,15 @@ fn ping_pong(bytes: usize, iters: usize) {
     let h = std::thread::spawn(move || {
         let mut buf = vec![0.0f64; elems];
         for _ in 0..iters {
-            c1.recv(0, 1, &mut buf);
-            c1.send(0, 2, &buf);
+            c1.recv(0, 1, &mut buf).expect(FAULT_FREE);
+            c1.send(0, 2, &buf).expect(FAULT_FREE);
         }
     });
     let data = vec![1.0f64; elems];
     let mut back = vec![0.0f64; elems];
     for _ in 0..iters {
-        c0.send(1, 1, &data);
-        c0.recv(1, 2, &mut back);
+        c0.send(1, 1, &data).expect(FAULT_FREE);
+        c0.recv(1, 2, &mut back).expect(FAULT_FREE);
     }
     h.join().unwrap();
 }

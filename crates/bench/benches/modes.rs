@@ -5,7 +5,7 @@
 //! machine at hand.)
 
 use spmv_bench::microbench::{Bench, Unit};
-use spmv_bench::{hmep, Scale};
+use spmv_bench::{hmep, Scale, FAULT_FREE};
 use spmv_core::engine::EngineConfig;
 use spmv_core::runner::run_spmd;
 use spmv_core::{KernelMode, RowPartition};
@@ -34,7 +34,7 @@ fn bench_modes(b: &Bench) {
                     let n = eng.local_len();
                     eng.x_local_mut().copy_from_slice(&x[lo..lo + n]);
                     for _ in 0..10 {
-                        eng.spmv(mode);
+                        eng.spmv_checked(mode).expect(FAULT_FREE);
                     }
                     eng.y_local()[0]
                 });

@@ -17,7 +17,7 @@
 //! chrome://tracing JSON of the HMeP matrix to `<path>`)
 
 use spmv_bench::microbench::Bench;
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, or_usage, Scale, FAULT_FREE};
 use spmv_core::{
     distributed_spmv, prepare_kernel, workload, EngineConfig, HaloSchedule, KernelKind, KernelMode,
     RowPartition,
@@ -27,30 +27,37 @@ use spmv_matrix::rcm::rcm_reorder;
 use spmv_model::comm::{crossover_messages, CommLevels, RankTraffic};
 use spmv_sim::{simulate_job, simulate_spmv, ProgressModel, SimConfig};
 
-fn main() {
-    let scale = Scale::from_args();
+const USAGE: &str = "ablations [<section>...] [--scale test|medium|paper] [--kernel <kind>] \
+                     [--trace <path>]";
+
+/// The parsed command line: scale, kernel, trace path and the selected
+/// sections (all when empty).
+fn parse_args(raw: &[String]) -> Result<(Scale, KernelKind, Option<String>, Vec<String>), String> {
+    let mut scale = Scale::Medium;
     let mut kernel = KernelKind::Auto;
-    let mut trace_path: Option<String> = None;
-    let mut which: Vec<String> = Vec::new();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let mut trace_path = None;
+    let mut which = Vec::new();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{a} needs a value"));
         match a.as_str() {
-            "--scale" => {
-                it.next(); // value already consumed by Scale::from_args
-            }
+            "--scale" => scale = Scale::parse(&value()?)?,
             "--kernel" => {
-                let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v)
-                    .unwrap_or_else(|| panic!("unknown kernel '{v}' (try csr-scalar, sell, auto)"));
+                let v = value()?;
+                kernel = KernelKind::parse(&v)
+                    .ok_or(format!("unknown kernel '{v}' (try csr-scalar, sell, auto)"))?;
             }
-            "--trace" => {
-                trace_path = Some(it.next().expect("--trace needs a path").clone());
-            }
+            "--trace" => trace_path = Some(value()?),
             other if !other.starts_with("--") => which.push(other.to_string()),
-            other => panic!("unknown flag '{other}'"),
+            other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    Ok((scale, kernel, trace_path, which))
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, kernel, trace_path, which) = or_usage(parse_args(&raw), USAGE);
     let run = |name: &str| which.is_empty() || which.iter().any(|w| w == name);
 
     header(&format!("Ablations (scale: {})", scale.label()));
@@ -341,7 +348,8 @@ fn main() {
                 let x_local = x[lo..lo + n].to_vec();
                 let mut y = vec![0.0; n];
                 for _ in 0..3 {
-                    eng.apply(&x_local, &mut y, KernelMode::TaskMode);
+                    eng.apply_checked(&x_local, &mut y, KernelMode::TaskMode)
+                        .expect(FAULT_FREE);
                 }
                 eng.take_trace().expect("tracing enabled")
             },

@@ -12,7 +12,7 @@
 //! comparable. `--json` emits one machine-readable object per run — the
 //! format consumed by EXPERIMENTS.md bookkeeping and the CI artifact.
 
-use spmv_bench::{header, hmep, samg, usize_flag, Json, Scale};
+use spmv_bench::{header, hmep, or_usage, samg, usize_flag, Json, Scale, FAULT_FREE};
 use spmv_core::{CommStrategy, EngineConfig, RankEngine, RowPartition};
 use spmv_machine::{presets, RankNodeMap};
 use spmv_matrix::{synthetic, CsrMatrix};
@@ -59,13 +59,14 @@ fn bench_strategy(
                     // one counted exchange: phase_delta brackets the work
                     // in barriers so no rank races traffic into the
                     // world-global delta
-                    let (_, one) = eng.phase_delta(|e| e.halo_exchange());
-                    eng.comm().barrier(); // snapshots done before timing
+                    let (_, one) =
+                        eng.phase_delta(|e| e.halo_exchange_checked().expect(FAULT_FREE));
+                    eng.comm().barrier().expect(FAULT_FREE); // snapshots done before timing
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        eng.halo_exchange();
+                        eng.halo_exchange_checked().expect(FAULT_FREE);
                     }
-                    eng.comm().barrier();
+                    eng.comm().barrier().expect(FAULT_FREE);
                     let secs = t0.elapsed().as_secs_f64() / iters as f64;
                     // model input: classify the traffic by the node map
                     // the world carries, not the strategy's default
@@ -106,13 +107,15 @@ fn bench_strategy(
 }
 
 fn main() {
-    let scale = Scale::from_args();
     let args: Vec<String> = std::env::args().collect();
+    let usage = "bench_comm_strategies [--scale test|medium|paper] [--ranks N] \
+                 [--ranks-per-node N] [--json]";
+    let scale = or_usage(Scale::from_args(&args), usage);
     let json = args.iter().any(|a| a == "--json");
     // 32 ranks x 4/node: small enough per-rank row blocks that the sAMG
     // halo spans multiple ranks of a node, giving aggregation work to do
-    let ranks = usize_flag(&args, "--ranks", 32);
-    let rpn = usize_flag(&args, "--ranks-per-node", 4);
+    let ranks = or_usage(usize_flag(&args, "--ranks", 32), usage);
+    let rpn = or_usage(usize_flag(&args, "--ranks-per-node", 4), usage);
     let iters = match scale {
         Scale::Test => 20,
         Scale::Medium => 50,

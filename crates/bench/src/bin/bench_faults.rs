@@ -19,7 +19,7 @@
 //! from `baseline`: the reported overhead should sit inside run-to-run
 //! noise (target < 1%). `enabled` quantifies what chaos testing costs.
 
-use spmv_bench::{header, hmep, usize_flag, Json, Scale};
+use spmv_bench::{header, hmep, or_usage, usize_flag, Json, Scale};
 use spmv_comm::{CommWorld, FaultPlan, FaultStats};
 use spmv_core::{run_spmd_on_world, CommStrategy, EngineConfig, RowPartition};
 use spmv_matrix::CsrMatrix;
@@ -46,18 +46,20 @@ fn bench_world<W: Fn() -> Vec<spmv_comm::Comm>>(
 ) -> FaultRun {
     let mut medians = Vec::with_capacity(reps);
     let mut faults = FaultStats::default();
+    // the plans below inject only faults the receiver hides again
+    const RECOVERABLE: &str = "bench fault plans inject only recoverable faults";
     for _ in 0..reps {
         let per_rank = run_spmd_on_world(make_world(), m, partition, cfg, |eng| {
             for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
                 *v = (i % 97) as f64 * 0.013 + 1.0;
             }
-            eng.halo_exchange(); // warm the plan's persistent buffers
-            eng.comm().barrier();
+            eng.halo_exchange_checked().expect(RECOVERABLE); // warm the plan's persistent buffers
+            eng.comm().barrier().expect(RECOVERABLE);
             let t0 = Instant::now();
             for _ in 0..iters {
-                eng.halo_exchange();
+                eng.halo_exchange_checked().expect(RECOVERABLE);
             }
-            eng.comm().barrier();
+            eng.comm().barrier().expect(RECOVERABLE);
             let secs = t0.elapsed().as_secs_f64() / iters as f64;
             (secs, eng.comm().fault_stats().unwrap_or_default())
         });
@@ -73,11 +75,13 @@ fn bench_world<W: Fn() -> Vec<spmv_comm::Comm>>(
 }
 
 fn main() {
-    let scale = Scale::from_args();
     let args: Vec<String> = std::env::args().collect();
+    let usage =
+        "bench_faults [--scale test|medium|paper] [--ranks N] [--ranks-per-node N] [--json]";
+    let scale = or_usage(Scale::from_args(&args), usage);
     let json = args.iter().any(|a| a == "--json");
-    let ranks = usize_flag(&args, "--ranks", 8);
-    let rpn = usize_flag(&args, "--ranks-per-node", 4);
+    let ranks = or_usage(usize_flag(&args, "--ranks", 8), usage);
+    let rpn = or_usage(usize_flag(&args, "--ranks-per-node", 4), usage);
     let (iters, reps) = match scale {
         Scale::Test => (50, 3),
         Scale::Medium => (200, 5),

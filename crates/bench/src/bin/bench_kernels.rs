@@ -11,7 +11,7 @@
 //! format consumed by EXPERIMENTS.md bookkeeping.
 
 use spmv_bench::microbench::Bench;
-use spmv_bench::{gf, header, hmep, samg, Json, Scale};
+use spmv_bench::{gf, header, hmep, or_usage, samg, Json, Scale};
 use spmv_core::{prepare_kernel, KernelKind};
 use spmv_matrix::{synthetic, vecops, CsrMatrix, SellMatrix};
 
@@ -67,8 +67,10 @@ fn measure_matrix(b: &Bench, name: &'static str, m: &CsrMatrix, rows: &mut Vec<R
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let json = std::env::args().any(|a| a == "--json");
+    let args: Vec<String> = std::env::args().collect();
+    let usage = "bench_kernels [--scale test|medium|paper] [--json]";
+    let scale = or_usage(Scale::from_args(&args), usage);
+    let json = args.iter().any(|a| a == "--json");
     let b = Bench::new();
 
     let mats: Vec<(&'static str, CsrMatrix)> = vec![

@@ -23,7 +23,7 @@
 //! event counts. `--trace <path>` additionally writes the task-mode run
 //! as a chrome://tracing JSON.
 
-use spmv_bench::{header, hmep, str_flag, usize_flag, Json, Scale};
+use spmv_bench::{header, hmep, or_usage, str_flag, usize_flag, Json, Scale, FAULT_FREE};
 use spmv_core::runner::run_spmd;
 use spmv_core::{EngineConfig, KernelMode};
 use spmv_matrix::CsrMatrix;
@@ -44,13 +44,15 @@ fn one_rep(m: &CsrMatrix, ranks: usize, cfg: EngineConfig, iters: usize) -> f64 
         let n = eng.local_len();
         let x: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.013 + 1.0).collect();
         let mut y = vec![0.0; n];
-        eng.apply(&x, &mut y, KernelMode::TaskMode); // warm the plan
-        eng.comm().barrier();
+        eng.apply_checked(&x, &mut y, KernelMode::TaskMode)
+            .expect(FAULT_FREE); // warm the plan
+        eng.comm().barrier().expect(FAULT_FREE);
         let t0 = Instant::now();
         for _ in 0..iters {
-            eng.apply(&x, &mut y, KernelMode::TaskMode);
+            eng.apply_checked(&x, &mut y, KernelMode::TaskMode)
+                .expect(FAULT_FREE);
         }
-        eng.comm().barrier();
+        eng.comm().barrier().expect(FAULT_FREE);
         t0.elapsed().as_secs_f64() / iters as f64
     });
     per_rank.into_iter().fold(0.0, f64::max)
@@ -102,7 +104,7 @@ fn traced_run(
         let x: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.013 + 1.0).collect();
         let mut y = vec![0.0; n];
         for _ in 0..iters {
-            eng.apply(&x, &mut y, mode);
+            eng.apply_checked(&x, &mut y, mode).expect(FAULT_FREE);
         }
         eng.take_trace().expect("tracing enabled")
     });
@@ -116,12 +118,14 @@ fn traced_run(
 }
 
 fn main() {
-    let scale = Scale::from_args();
     let args: Vec<String> = std::env::args().collect();
+    let usage = "bench_trace [--scale test|medium|paper] [--ranks N] [--threads N] [--json] \
+                 [--trace <path>]";
+    let scale = or_usage(Scale::from_args(&args), usage);
     let json = args.iter().any(|a| a == "--json");
     let trace_path = str_flag(&args, "--trace");
-    let ranks = usize_flag(&args, "--ranks", 4);
-    let threads = usize_flag(&args, "--threads", 2);
+    let ranks = or_usage(usize_flag(&args, "--ranks", 4), usage);
+    let threads = or_usage(usize_flag(&args, "--threads", 2), usage);
     let (iters, reps, overhead_rows) = match scale {
         Scale::Test => (20, 16, 150_000),
         Scale::Medium => (20, 12, 400_000),

@@ -11,7 +11,7 @@
 //! is inferred from the model rather than from measured traffic — the
 //! inverse of the paper's procedure, clearly labeled.
 
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, or_usage, Scale};
 use spmv_core::node::measure_spmv_gflops;
 use spmv_machine::SaturationCurve;
 use spmv_model::{code_balance_crs, kappa_from_measurement, predicted_gflops};
@@ -19,7 +19,11 @@ use spmv_smp::stream::run_stream;
 use spmv_smp::ThreadTeam;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "calibrate_host [--scale test|medium|paper]",
+    );
     header("Host calibration — the paper's §2 analysis on this machine");
 
     let max_threads = std::thread::available_parallelism()

@@ -3,11 +3,15 @@
 //!
 //! `cargo run --release -p spmv-bench --bin fig1_patterns [--scale test|medium|paper]`
 
-use spmv_bench::{header, hmep, hmep_phonon, samg, Scale};
+use spmv_bench::{header, hmep, hmep_phonon, or_usage, samg, Scale};
 use spmv_matrix::stats::{block_occupancy, render_occupancy_ascii, SparsityStats};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "fig1_patterns [--scale test|medium|paper]",
+    );
     header(&format!(
         "Fig. 1 — sparsity patterns (scale: {})",
         scale.label()

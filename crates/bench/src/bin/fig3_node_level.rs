@@ -5,13 +5,17 @@
 //!
 //! `cargo run --release -p spmv-bench --bin fig3_node_level [--scale ...]`
 
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, or_usage, Scale};
 use spmv_machine::presets;
 use spmv_model::roofline::ld_scaling_curve;
 use spmv_model::{code_balance_crs, estimate_kappa};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "fig3_node_level [--scale test|medium|paper]",
+    );
     header(&format!(
         "Fig. 3 — node-level performance (HMeP, scale: {})",
         scale.label()

@@ -4,13 +4,17 @@
 //!
 //! `cargo run --release -p spmv-bench --bin fig4_timelines [--scale ...]`
 
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, or_usage, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
 use spmv_sim::{simulate_spmv, SimConfig};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "fig4_timelines [--scale test|medium|paper]",
+    );
     header(&format!(
         "Fig. 4 — kernel timelines (HMeP, scale: {})",
         scale.label()

@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p spmv-bench --bin fig5_hmep_scaling [--scale ...]`
 
-use spmv_bench::{efficiency_50_marker, header, hmep, node_counts, Scale};
+use spmv_bench::{efficiency_50_marker, header, hmep, node_counts, or_usage, Scale};
 use spmv_core::KernelMode;
 use spmv_machine::presets;
 use spmv_machine::HybridLayout;
@@ -13,7 +13,11 @@ use spmv_sim::scaling::simulate_modes;
 use spmv_sim::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "fig5_hmep_scaling [--scale test|medium|paper]",
+    );
     header(&format!(
         "Fig. 5 — HMeP strong scaling (scale: {})",
         scale.label()

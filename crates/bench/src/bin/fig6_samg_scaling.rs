@@ -6,7 +6,7 @@
 //!
 //! `cargo run --release -p spmv-bench --bin fig6_samg_scaling [--scale ...]`
 
-use spmv_bench::{efficiency_50_marker, header, node_counts, samg, Scale};
+use spmv_bench::{efficiency_50_marker, header, node_counts, or_usage, samg, Scale};
 use spmv_core::KernelMode;
 use spmv_machine::presets;
 use spmv_machine::HybridLayout;
@@ -14,7 +14,11 @@ use spmv_sim::scaling::simulate_modes;
 use spmv_sim::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "fig6_samg_scaling [--scale test|medium|paper]",
+    );
     header(&format!(
         "Fig. 6 — sAMG strong scaling (scale: {})",
         scale.label()

@@ -13,14 +13,18 @@
 //!
 //! `cargo run --release -p spmv-bench --bin future_work [--scale ...]`
 
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, or_usage, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
 use spmv_matrix::synthetic;
 use spmv_sim::{simulate_job, simulate_spmv, ProgressModel, SimConfig};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "future_work [--scale test|medium|paper]",
+    );
     header(&format!(
         "Paper §5 future work, implemented (scale: {})",
         scale.label()

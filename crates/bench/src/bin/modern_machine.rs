@@ -10,7 +10,7 @@
 //!
 //! `cargo run --release -p spmv-bench --bin modern_machine [--scale ...]`
 
-use spmv_bench::{header, hmep, node_counts, Scale};
+use spmv_bench::{header, hmep, node_counts, or_usage, Scale};
 use spmv_core::KernelMode;
 use spmv_machine::network::{FatTreeParams, NetworkModel};
 use spmv_machine::saturation::SaturationCurve;
@@ -65,7 +65,11 @@ fn epyc_cluster(num_nodes: usize) -> ClusterSpec {
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "modern_machine [--scale test|medium|paper]",
+    );
     header(&format!(
         "2020s forward-port: HMeP on an EPYC/HDR cluster (scale: {})",
         scale.label()

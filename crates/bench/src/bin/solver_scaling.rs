@@ -6,14 +6,18 @@
 //!
 //! `cargo run --release -p spmv-bench --bin solver_scaling [--scale ...]`
 
-use spmv_bench::{header, hmep, node_counts, samg, Scale};
+use spmv_bench::{header, hmep, node_counts, or_usage, samg, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
 use spmv_sim::iterative::{simulate_solver, SolverShape};
 use spmv_sim::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "solver_scaling [--scale test|medium|paper]",
+    );
     header(&format!(
         "Solver-level strong scaling (scale: {})",
         scale.label()

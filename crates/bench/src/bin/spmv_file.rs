@@ -34,7 +34,7 @@
 //! typed diagnostics and exit nonzero; on success the run continues with
 //! construction-time verification forced on in every engine.
 
-use spmv_bench::{header, holstein_params, samg_params, Scale};
+use spmv_bench::{header, holstein_params, or_usage, samg_params, Scale, FAULT_FREE};
 use spmv_core::engine::{CommStrategy, EngineConfig};
 use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
 use spmv_core::runner::{distributed_spmv, run_spmd};
@@ -51,15 +51,7 @@ use std::io::BufReader;
 /// the paper's application matrices in-process, anything else is read as a
 /// Matrix Market file.
 fn load_matrix(path: &str) -> CsrMatrix {
-    let scale = |name: &str| match name {
-        "test" => Scale::Test,
-        "medium" => Scale::Medium,
-        "paper" => Scale::Paper,
-        other => {
-            eprintln!("unknown scale '{other}' (use test|medium|paper)");
-            std::process::exit(2);
-        }
-    };
+    let scale = |name: &str| or_usage(Scale::parse(name), USAGE);
     if let Some(s) = path.strip_prefix("holstein:") {
         return spmv_matrix::holstein::hamiltonian(&holstein_params(
             scale(s),
@@ -125,7 +117,7 @@ fn traced_runs(
             let x_local = x[lo..lo + n].to_vec();
             let mut y = vec![0.0; n];
             for _ in 0..3 {
-                eng.apply(&x_local, &mut y, mode);
+                eng.apply_checked(&x_local, &mut y, mode).expect(FAULT_FREE);
             }
             eng.take_trace().expect("tracing enabled")
         });
@@ -179,8 +171,28 @@ fn traced_runs(
     );
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "spmv_file <matrix.mtx|holstein:<scale>|samg:<scale>> [ranks] [threads] \
+                     [--kernel <kind>] [--comm-strategy flat|node-aware] [--ranks-per-node N] \
+                     [--trace <path>] [--verify-plan]";
+
+/// The parsed command line.
+struct Args {
+    path: String,
+    ranks: usize,
+    threads: usize,
+    kernel: KernelKind,
+    /// `--comm-strategy`, resolved with `--ranks-per-node`.
+    comm_strategy: Option<CommStrategy>,
+    trace_path: Option<String>,
+    verify_plan: bool,
+}
+
+/// Parses the arguments after the program name.
+fn parse_args(raw: &[String]) -> Result<Args, String> {
+    let count = |name: &str, v: &str| {
+        v.parse::<usize>()
+            .map_err(|_| format!("{name} wants a count, got '{v}'"))
+    };
     let mut kernel = KernelKind::CsrScalar;
     let mut strategy_arg: Option<String> = None;
     let mut trace_path: Option<String> = None;
@@ -189,59 +201,62 @@ fn main() {
     let mut positional = Vec::new();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{a} needs a value"));
         match a.as_str() {
             "--kernel" => {
-                let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v)
-                    .unwrap_or_else(|| panic!("unknown kernel '{v}' (try csr-scalar, sell, auto)"));
+                let v = value()?;
+                kernel = KernelKind::parse(&v)
+                    .ok_or(format!("unknown kernel '{v}' (try csr-scalar, sell, auto)"))?;
             }
-            "--comm-strategy" => {
-                strategy_arg = Some(it.next().expect("--comm-strategy needs a value").clone());
-            }
-            "--ranks-per-node" => {
-                ranks_per_node = it
-                    .next()
-                    .expect("--ranks-per-node needs a value")
-                    .parse()
-                    .expect("ranks per node");
-            }
-            "--trace" => {
-                trace_path = Some(it.next().expect("--trace needs a path").clone());
-            }
+            "--comm-strategy" => strategy_arg = Some(value()?),
+            "--ranks-per-node" => ranks_per_node = count(a, &value()?)?,
+            "--trace" => trace_path = Some(value()?),
             "--verify-plan" => verify_plan = true,
-            _ => positional.push(a.clone()),
+            _ => positional.push(a.as_str()),
         }
     }
+    let comm_strategy = match strategy_arg {
+        Some(v) => Some(CommStrategy::parse(&v, ranks_per_node).ok_or(format!(
+            "bad comm strategy '{v}' with --ranks-per-node {ranks_per_node} \
+             (try flat, or node-aware with at least 1 rank per node)"
+        ))?),
+        None => None,
+    };
+    let Some(path) = positional.first() else {
+        return Err("missing the matrix argument".into());
+    };
+    let ranks = positional.get(1).map_or(Ok(4), |v| count("ranks", v))?;
+    let threads = positional.get(2).map_or(Ok(2), |v| count("threads", v))?;
+    Ok(Args {
+        path: path.to_string(),
+        ranks,
+        threads,
+        kernel,
+        comm_strategy,
+        trace_path,
+        verify_plan,
+    })
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        path,
+        ranks,
+        threads,
+        kernel,
+        comm_strategy,
+        mut trace_path,
+        verify_plan,
+    } = or_usage(parse_args(&raw), USAGE);
     // SPMV_TRACE mirrors SPMV_COMM_STRATEGY: the env var carries the
     // output path and the flag wins when both are given
     if trace_path.is_none() {
         trace_path = std::env::var("SPMV_TRACE").ok().filter(|v| !v.is_empty());
     }
-    let comm_strategy = match &strategy_arg {
-        Some(v) => CommStrategy::parse(v, ranks_per_node).unwrap_or_else(|| {
-            panic!(
-                "bad comm strategy '{v}' with --ranks-per-node {ranks_per_node} \
-                     (try flat, or node-aware with at least 1 rank per node)"
-            )
-        }),
-        None => CommStrategy::from_env().unwrap_or(CommStrategy::Flat),
-    };
-    let Some(path) = positional.first() else {
-        eprintln!(
-            "usage: spmv_file <matrix.mtx|holstein:<scale>|samg:<scale>> [ranks] [threads] \
-             [--kernel <kind>] [--comm-strategy flat|node-aware] [--ranks-per-node N] \
-             [--trace <path>] [--verify-plan]"
-        );
-        std::process::exit(2);
-    };
-    let ranks: usize = positional
-        .get(1)
-        .map(|s| s.parse().expect("ranks"))
-        .unwrap_or(4);
-    let threads: usize = positional
-        .get(2)
-        .map(|s| s.parse().expect("threads"))
-        .unwrap_or(2);
+    let comm_strategy =
+        comm_strategy.unwrap_or_else(|| CommStrategy::from_env().unwrap_or(CommStrategy::Flat));
+    let path = &path;
 
     let m = load_matrix(path);
 
@@ -390,5 +405,54 @@ fn main() {
             predicted_gflops(ld.spmv_saturated_gbs(), balance),
             out,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_and_positionals_parse() {
+        let a = parse(&["m.mtx", "8", "--kernel", "sell", "3", "--verify-plan"]).unwrap();
+        assert_eq!((a.path.as_str(), a.ranks, a.threads), ("m.mtx", 8, 3));
+        assert!(a.verify_plan && a.comm_strategy.is_none() && a.trace_path.is_none());
+        let a = parse(&[
+            "m.mtx",
+            "--comm-strategy",
+            "node-aware",
+            "--ranks-per-node",
+            "2",
+        ]);
+        assert_eq!(
+            a.unwrap().comm_strategy,
+            Some(CommStrategy::NodeAware { ranks_per_node: 2 })
+        );
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        for (args, needle) in [
+            (&["m.mtx", "many"][..], "ranks wants a count"),
+            (&["m.mtx", "2", "x"][..], "threads wants a count"),
+            (
+                &["m.mtx", "--ranks-per-node", "two"][..],
+                "--ranks-per-node",
+            ),
+            (&["m.mtx", "--kernel", "nope"][..], "unknown kernel"),
+            (&["m.mtx", "--kernel"][..], "--kernel needs a value"),
+            (
+                &["m.mtx", "--comm-strategy", "ring"][..],
+                "bad comm strategy",
+            ),
+            (&["--verify-plan"][..], "missing the matrix"),
+        ] {
+            let err = parse(args).err().expect("bad input must not parse");
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 }

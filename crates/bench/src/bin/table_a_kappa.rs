@@ -12,12 +12,16 @@
 //!
 //! `cargo run --release -p spmv-bench --bin table_a_kappa [--scale ...]`
 
-use spmv_bench::{header, hmep, hmep_phonon, Scale};
+use spmv_bench::{header, hmep, hmep_phonon, or_usage, Scale};
 use spmv_machine::presets;
 use spmv_model::{code_balance_crs, estimate_kappa, kappa_from_measurement, predicted_gflops};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "table_a_kappa [--scale test|medium|paper]",
+    );
     header(&format!(
         "Table A — κ and bandwidth analysis (§2), scale: {}",
         scale.label()

@@ -11,14 +11,18 @@
 //!
 //! `cargo run --release -p spmv-bench --bin table_b_split_penalty [--scale ...]`
 
-use spmv_bench::{header, hmep, samg, Scale};
+use spmv_bench::{header, hmep, or_usage, samg, Scale};
 use spmv_core::KernelMode;
 use spmv_machine::{presets, HybridLayout};
 use spmv_model::balance::{code_balance_crs, code_balance_split, split_penalty_paper_convention};
 use spmv_sim::{simulate_job, SimConfig};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_usage(
+        Scale::from_args(&args),
+        "table_b_split_penalty [--scale test|medium|paper]",
+    );
     header(&format!(
         "Table B — split-kernel penalty (Eq. 2 vs Eq. 1), scale: {}",
         scale.label()

@@ -3,7 +3,8 @@
 //! Every binary accepts `--scale test|medium|paper` (default `medium`):
 //! `test` runs in well under a second, `medium` reproduces every figure
 //! shape in seconds to minutes, `paper` builds the full-size matrices
-//! (several GB of memory, tens of minutes).
+//! (several GB of memory, tens of minutes). A bad flag value ends a binary
+//! with the error, its usage line and exit status 2 ([`or_usage`]).
 
 use spmv_matrix::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
 use spmv_matrix::samg::{poisson, SamgParams};
@@ -26,20 +27,19 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale <x>` from the process arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--scale" {
-                return match w[1].as_str() {
-                    "test" => Scale::Test,
-                    "medium" => Scale::Medium,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale '{other}' (use test|medium|paper)"),
-                };
-            }
+    /// Parses a scale name.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "test" => Ok(Scale::Test),
+            "medium" => Ok(Scale::Medium),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale '{other}' (use test|medium|paper)")),
         }
-        Scale::Medium
+    }
+
+    /// Parses `--scale <x>` from the argument list (default `medium`).
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        str_flag(args, "--scale").map_or(Ok(Scale::Medium), |v| Self::parse(&v))
     }
 
     /// Label for report headers.
@@ -119,17 +119,31 @@ pub fn node_counts(scale: Scale) -> Vec<usize> {
 
 /// Parses `<name> N` from the argument list, defaulting when absent —
 /// the flag convention every bench binary shares.
-pub fn usize_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].parse().unwrap_or_else(|_| panic!("{name} wants N")))
-        .unwrap_or(default)
+pub fn usize_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    str_flag(args, name).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("{name} wants a count, got '{v}'"))
+    })
 }
 
 /// Parses `<name> <value>` as a string flag from the argument list.
 pub fn str_flag(args: &[String], name: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
 }
+
+/// Unwraps a parsed command line, or ends the binary on a bad one: prints
+/// the error and the binary's `usage` line to stderr and exits with
+/// status 2.
+pub fn or_usage<T>(parsed: Result<T, String>, usage: &str) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// `expect` message for communication on the benches' worlds, which carry
+/// no fault plan or watchdog, so no call can fail.
+pub const FAULT_FREE: &str = "bench worlds carry no fault plan or watchdog";
 
 /// Prints a report header with a rule line.
 pub fn header(title: &str) {
@@ -184,10 +198,24 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(usize_flag(&args, "--ranks", 4), 16);
-        assert_eq!(usize_flag(&args, "--missing", 7), 7);
+        assert_eq!(usize_flag(&args, "--ranks", 4), Ok(16));
+        assert_eq!(usize_flag(&args, "--missing", 7), Ok(7));
         assert_eq!(str_flag(&args, "--out").as_deref(), Some("trace.json"));
         assert_eq!(str_flag(&args, "--missing"), None);
+    }
+
+    #[test]
+    fn bad_flag_values_are_errors() {
+        let args: Vec<String> = ["x", "--ranks", "many", "--scale", "huge"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = usize_flag(&args, "--ranks", 4).unwrap_err();
+        assert!(err.contains("--ranks") && err.contains("many"), "{err}");
+        let err = Scale::from_args(&args).unwrap_err();
+        assert!(err.contains("huge"), "{err}");
+        assert_eq!(Scale::from_args(&args[..3]), Ok(Scale::Medium));
+        assert_eq!(Scale::parse("test"), Ok(Scale::Test));
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! tags. All ranks of a world must call each collective in the same order
 //! (the usual MPI contract); per-pair FIFO matching then guarantees that
 //! consecutive collectives cannot interleave.
+//!
+//! Collectives are the bookkeeping layer (plan construction, solver
+//! reductions) and keep infallible signatures: a communication fault inside
+//! one panics with the typed [`CommError`](crate::CommError) in the message.
 
 use crate::pod::Pod;
 use crate::world::{Comm, Tag};
@@ -37,7 +41,21 @@ impl ReduceOp {
     }
 }
 
+/// Why a collective's message cannot fail: the protocol is matched by
+/// construction, so only an injected fault or a watchdog poison breaks it.
+const COLLECTIVE_FAULT: &str = "collectives run on a fault-free world";
+
 impl Comm {
+    /// One collective protocol message to `dst`.
+    fn coll_send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) {
+        self.send_any_tag(dst, tag, data).expect(COLLECTIVE_FAULT);
+    }
+
+    /// One collective protocol message from `src`.
+    fn coll_recv<T: Pod>(&self, src: usize, tag: Tag) -> Vec<T> {
+        self.recv_vec_any_tag(src, tag).expect(COLLECTIVE_FAULT)
+    }
+
     /// Broadcast `buf` from `root` to every rank. On non-root ranks the
     /// buffer is resized and overwritten.
     pub fn bcast<T: Pod>(&self, root: usize, buf: &mut Vec<T>) {
@@ -47,11 +65,11 @@ impl Comm {
         if self.rank() == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.isend_internal(dst, TAG_BCAST, buf.as_slice());
+                    self.coll_send(dst, TAG_BCAST, buf.as_slice());
                 }
             }
         } else {
-            *buf = self.recv_vec_internal(root, TAG_BCAST);
+            *buf = self.coll_recv(root, TAG_BCAST);
         }
     }
 
@@ -77,12 +95,12 @@ impl Comm {
         if self.rank() == ROOT {
             let mut acc = std::mem::take(buf);
             for src in 1..self.size() {
-                let contrib: Vec<f64> = self.recv_vec_internal(src, TAG_REDUCE);
+                let contrib: Vec<f64> = self.coll_recv(src, TAG_REDUCE);
                 op.apply(&mut acc, &contrib);
             }
             *buf = acc;
         } else {
-            self.isend_internal(ROOT, TAG_REDUCE, buf.as_slice());
+            self.coll_send(ROOT, TAG_REDUCE, buf.as_slice());
         }
         self.bcast(ROOT, buf);
     }
@@ -103,12 +121,12 @@ impl Comm {
                 if src == root {
                     out.push(data.to_vec());
                 } else {
-                    out.push(self.recv_vec_internal(src, TAG_GATHER));
+                    out.push(self.coll_recv(src, TAG_GATHER));
                 }
             }
             Some(out)
         } else {
-            self.isend_internal(root, TAG_GATHER, data);
+            self.coll_send(root, TAG_GATHER, data);
             None
         }
     }
@@ -119,7 +137,7 @@ impl Comm {
         let me = self.rank();
         for dst in 0..self.size() {
             if dst != me {
-                self.isend_internal(dst, TAG_AGATHER, data);
+                self.coll_send(dst, TAG_AGATHER, data);
             }
         }
         (0..self.size())
@@ -127,7 +145,7 @@ impl Comm {
                 if src == me {
                     data.to_vec()
                 } else {
-                    self.recv_vec_internal(src, TAG_AGATHER)
+                    self.coll_recv(src, TAG_AGATHER)
                 }
             })
             .collect()
@@ -142,12 +160,12 @@ impl Comm {
                 if src == root {
                     continue;
                 }
-                let contrib: Vec<f64> = self.recv_vec_internal(src, TAG_REDUCE);
+                let contrib: Vec<f64> = self.coll_recv(src, TAG_REDUCE);
                 op.apply(&mut acc, &contrib);
             }
             Some(acc)
         } else {
-            self.isend_internal(root, TAG_REDUCE, buf);
+            self.coll_send(root, TAG_REDUCE, buf);
             None
         }
     }
@@ -160,13 +178,13 @@ impl Comm {
         // (e.g. computing global row offsets from local lengths).
         let mut acc = vec![x];
         if self.rank() > 0 {
-            let prev: Vec<f64> = self.recv_vec_internal(self.rank() - 1, TAG_SCAN);
+            let prev: Vec<f64> = self.coll_recv(self.rank() - 1, TAG_SCAN);
             let mut tmp = prev;
             op.apply(&mut tmp, &[x]);
             acc = tmp;
         }
         if self.rank() + 1 < self.size() {
-            self.isend_internal(self.rank() + 1, TAG_SCAN, &acc);
+            self.coll_send(self.rank() + 1, TAG_SCAN, &acc);
         }
         acc[0]
     }
@@ -191,7 +209,7 @@ impl Comm {
         let me = self.rank();
         for (dst, data) in outgoing.iter().enumerate() {
             if dst != me {
-                self.isend_internal(dst, TAG_A2A, data.as_slice());
+                self.coll_send(dst, TAG_A2A, data.as_slice());
             }
         }
         (0..self.size())
@@ -199,7 +217,7 @@ impl Comm {
                 if src == me {
                     outgoing[me].clone()
                 } else {
-                    self.recv_vec_internal(src, TAG_A2A)
+                    self.coll_recv(src, TAG_A2A)
                 }
             })
             .collect()
@@ -340,11 +358,11 @@ mod tests {
     fn collectives_mixed_with_p2p() {
         spawn_world(2, |c| {
             let peer = 1 - c.rank();
-            c.send(peer, 1, &[c.rank() as f64]);
+            c.send(peer, 1, &[c.rank() as f64]).unwrap();
             let total = c.allreduce_scalar(1.0, ReduceOp::Sum);
             assert_eq!(total, 2.0);
             let mut buf = [0.0f64];
-            c.recv(peer, 1, &mut buf);
+            c.recv(peer, 1, &mut buf).unwrap();
             assert_eq!(buf[0], peer as f64);
         });
     }
@@ -435,11 +453,11 @@ mod tests {
         spawn_world(3, |c| {
             let mut outgoing: Vec<Vec<u64>> = vec![vec![]; 3];
             outgoing[c.rank()] = vec![c.rank() as u64 * 11; 4];
-            c.barrier();
+            c.barrier().unwrap();
             let base = c.stats().snapshot();
-            c.barrier(); // every base is taken before anyone sends
+            c.barrier().unwrap(); // every base is taken before anyone sends
             let incoming = c.alltoallv(&outgoing);
-            c.barrier(); // every send is recorded before any delta
+            c.barrier().unwrap(); // every send is recorded before any delta
             let delta = c.stats().snapshot().since(&base);
             assert_eq!(incoming[c.rank()], vec![c.rank() as u64 * 11; 4]);
             for (s, lane) in incoming.iter().enumerate() {

@@ -1,28 +1,30 @@
 //! Typed communication errors and the stall watchdog's report format.
 //!
-//! The infallible `Comm` API (`recv`, `wait`, `barrier`, …) keeps its
-//! historical contract — it panics on protocol violations — but every
-//! operation now has a checked twin (`try_recv`, `try_wait`,
-//! `recv_timeout`, …) returning `Result<_, CommError>` so callers that
-//! must survive adversity (the chaos suite, resilient solvers) get a
-//! typed error instead of a dead thread or a parked-forever wait.
+//! The `Comm` API has one path, shaped like MPI's: a post (`isend`,
+//! `isend_ref`, `irecv`) returns a request and never fails, and every
+//! completion (`wait`, `wait_timeout`, `waitall`, and the blocking `send`,
+//! `recv`, `recv_vec`, `barrier`) returns `Result<_, CommError>`. A post
+//! the world refuses (dead peer, dead caller, poisoned world) sends nothing
+//! and its request carries the error to the completion. Callers that
+//! assume a fault-free world `expect` at their boundary; callers that must
+//! survive adversity (the chaos suite, resilient solvers) get a typed
+//! error instead of a dead thread or a parked-forever wait. Programming
+//! errors (a reserved tag, an out-of-range rank) still panic.
 
 use crate::world::Tag;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A failed communication operation.
-///
-/// Carried by the checked (`try_*` / `*_timeout`) variants of the [`Comm`]
-/// API; the infallible variants panic with the same `Display` text.
+/// A failed communication operation, returned by every completing call of
+/// the [`Comm`] API.
 ///
 /// [`Comm`]: crate::Comm
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "a CommError reports lost or undeliverable messages and must be handled"]
 pub enum CommError {
-    /// A bounded wait (`recv_timeout` / `wait_timeout`) expired before the
-    /// matching message arrived. The pending operation is cancelled.
+    /// A bounded wait (`wait_timeout`) expired before the request
+    /// completed. The pending operation is cancelled.
     Timeout {
         /// Rank that was waiting.
         rank: usize,

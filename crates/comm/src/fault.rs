@@ -452,6 +452,11 @@ impl ChaosState {
         self.dead[rank].load(Ordering::Acquire)
     }
 
+    /// The lowest rank the plan has killed so far, if any.
+    pub fn first_dead(&self) -> Option<usize> {
+        (0..self.dead.len()).find(|&r| self.is_dead(r))
+    }
+
     pub fn is_degraded(&self, rank: usize) -> bool {
         self.plan.degraded_leaders.contains(&rank)
     }

@@ -36,8 +36,9 @@
 //! chaos: delay / reorder / duplicate / drop-with-retransmit / truncate /
 //! stall / kill) and a stall watchdog that converts a world-wide hang into
 //! a typed [`CommError::Poisoned`] carrying a per-rank pending-request
-//! dump. Every blocking operation has a checked (`try_*` / `*_timeout`)
-//! variant; see DESIGN.md §8 for the fault model.
+//! dump. Posts return requests and completions return
+//! `Result<_, CommError>`, so every fault arrives as a value; see
+//! DESIGN.md §8 for the fault model.
 
 pub mod collectives;
 pub mod error;
@@ -50,4 +51,4 @@ pub use error::{CommError, PendingKind, PendingOp, StallReport};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use pod::Pod;
 pub use stats::{CommStats, WorldStats};
-pub use world::{Comm, CommWorld, RecvRequest, Request, Tag, WorldBuilder};
+pub use world::{Comm, CommWorld, Request, Tag, WorldBuilder};

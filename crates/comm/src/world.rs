@@ -14,9 +14,11 @@
 //!   *poisons* the world: every blocked and future operation fails with
 //!   [`CommError::Poisoned`] carrying a per-rank pending-request dump
 //!   instead of hanging forever.
-//! * **Typed errors** — the `try_*` / `*_timeout` variants return
-//!   [`CommError`]; the classic infallible API panics with the same
-//!   message (a panic with a dump still beats a silent hang in CI).
+//! * **Typed errors** — posts ([`Comm::isend`], [`Comm::isend_ref`],
+//!   [`Comm::irecv`]) never fail: like an MPI request, a refused post
+//!   carries its [`CommError`], and every completion ([`Comm::wait`],
+//!   [`Comm::waitall`], the blocking `send` / `recv` / `barrier`) returns
+//!   `Result`. [`Comm::wait_timeout`] is the one bounded wait.
 //!
 //! A world built without faults or watchdog takes the exact historical
 //! fast path: one `Option` check per operation is the entire cost
@@ -190,26 +192,6 @@ impl RankMailbox {
             queues: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
         }
-    }
-
-    /// Non-blocking probe-and-pop.
-    fn try_pop(&self, src: usize, tag: Tag) -> Option<Payload> {
-        let mut q = self
-            .queues
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked");
-        q.get_mut(&(src, tag)).and_then(|ch| ch.ready.pop_front())
-    }
-
-    /// Non-destructive probe: byte length of the next queued message.
-    fn peek_len(&self, src: usize, tag: Tag) -> Option<usize> {
-        let q = self
-            .queues
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked");
-        q.get(&(src, tag))
-            .and_then(|ch| ch.ready.front())
-            .map(|m| m.len())
     }
 }
 
@@ -677,20 +659,21 @@ fn watchdog_loop(weak: Weak<WorldShared>, timeout: Duration) {
 /// Factory for communication worlds.
 ///
 /// ```
-/// use spmv_comm::CommWorld;
+/// use spmv_comm::{CommError, CommWorld};
 ///
 /// let mut comms = CommWorld::create(2).into_iter();
 /// let (c0, c1) = (comms.next().unwrap(), comms.next().unwrap());
-/// let peer = std::thread::spawn(move || {
+/// let peer = std::thread::spawn(move || -> Result<(), CommError> {
 ///     let mut buf = [0.0f64; 3];
-///     c1.recv(0, 7, &mut buf);                      // blocking receive
-///     c1.send(0, 8, &[buf.iter().sum::<f64>()]);    // reply with the sum
+///     c1.recv(0, 7, &mut buf)?;                      // blocking receive
+///     c1.send(0, 8, &[buf.iter().sum::<f64>()])      // reply with the sum
 /// });
-/// c0.send(1, 7, &[1.0, 2.0, 3.0]);
+/// c0.send(1, 7, &[1.0, 2.0, 3.0])?;
 /// let mut total = [0.0f64];
-/// c0.recv(1, 8, &mut total);
+/// c0.recv(1, 8, &mut total)?;
 /// assert_eq!(total[0], 6.0);
-/// peer.join().unwrap();
+/// peer.join().unwrap()?;
+/// # Ok::<(), CommError>(())
 /// ```
 pub struct CommWorld;
 
@@ -799,7 +782,8 @@ impl WorldBuilder {
 /// A nonblocking-operation handle. Receive requests and borrowed sends
 /// ([`Comm::isend_ref`]) borrow their buffer until completed by
 /// [`Comm::wait`] / [`Comm::waitall`]; the borrow makes buffer reuse before
-/// completion a compile error.
+/// completion a compile error. A post the world refused carries its
+/// [`CommError`], which completing the request returns.
 ///
 /// Dropping a not-yet-completed borrowed-send request *blocks* until the
 /// receiver has consumed the message (the buffer must not be freed under
@@ -811,9 +795,6 @@ pub struct Request<'buf> {
     kind: ReqKind,
     _buf: PhantomData<&'buf mut [u8]>,
 }
-
-/// Alias emphasizing the requests that carry interesting state.
-pub type RecvRequest<'buf> = Request<'buf>;
 
 enum ReqKind {
     /// Buffered sends complete at post time (eager protocol).
@@ -834,6 +815,17 @@ enum ReqKind {
         dst: *mut u8,
         bytes: usize,
     },
+    /// A send post refused by the health gate or the destination check.
+    Failed(CommError),
+}
+
+impl Request<'_> {
+    fn new(kind: ReqKind) -> Self {
+        Self {
+            kind,
+            _buf: PhantomData,
+        }
+    }
 }
 
 // SAFETY: the raw pointer targets a buffer whose exclusive borrow is held by
@@ -949,61 +941,58 @@ impl Comm {
         }
     }
 
-    fn panic_on<T>(result: Result<T, CommError>) -> T {
-        result.unwrap_or_else(|e| panic!("{e}"))
-    }
-
     // -- point-to-point -----------------------------------------------------
 
-    pub(crate) fn isend_internal<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) {
+    /// Runs a send post through the health gate and the destination check,
+    /// then hands the payload to the world. A refused post sends nothing.
+    fn post_send(
+        &self,
+        dst: usize,
+        tag: Tag,
+        payload: impl FnOnce() -> Payload,
+    ) -> Result<(), CommError> {
         self.assert_peer(dst);
-        Self::panic_on(self.op_gate().and_then(|()| self.peer_alive(dst)));
-        self.shared
-            .send_payload(self.rank, dst, tag, Payload::Owned(as_bytes(data).to_vec()));
+        self.op_gate()?;
+        self.peer_alive(dst)?;
+        self.shared.send_payload(self.rank, dst, tag, payload());
+        Ok(())
     }
 
-    pub(crate) fn recv_vec_internal<T: Pod>(&self, src: usize, tag: Tag) -> Vec<T> {
-        Self::panic_on(self.try_recv_vec_internal(src, tag, None))
+    /// Eager send on any tag, reserved ones included (the collectives'
+    /// protocol messages).
+    pub(crate) fn send_any_tag<T: Pod>(
+        &self,
+        dst: usize,
+        tag: Tag,
+        data: &[T],
+    ) -> Result<(), CommError> {
+        self.post_send(dst, tag, || Payload::Owned(as_bytes(data).to_vec()))
     }
 
-    fn try_recv_vec_internal<T: Pod>(
+    /// Blocking receive of unknown length on any tag, reserved ones
+    /// included.
+    pub(crate) fn recv_vec_any_tag<T: Pod>(
         &self,
         src: usize,
         tag: Tag,
-        timeout: Option<Duration>,
     ) -> Result<Vec<T>, CommError> {
         self.assert_peer(src);
         self.op_gate()?;
         let payload = self
             .shared
-            .pop_blocking_checked(self.rank, src, tag, timeout, None)?;
+            .pop_blocking_checked(self.rank, src, tag, None, None)?;
         Ok(from_bytes_vec(&payload.consume_vec()))
     }
 
     /// Nonblocking send. The payload is copied out immediately (eager,
-    /// buffered — like small-message MPI), so the returned request is
-    /// already complete and the slice may be reused right away.
+    /// buffered — like small-message MPI), so the slice may be reused right
+    /// away. A post refused by the fault plan or a poisoned world sends
+    /// nothing; completing its request returns the error.
     pub fn isend<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Request<'static> {
-        Self::panic_on(self.try_isend(dst, tag, data))
-    }
-
-    /// Checked [`Comm::isend`]: fails instead of panicking when the world
-    /// is poisoned or the destination (or this rank) has been killed.
-    pub fn try_isend<T: Pod>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) -> Result<Request<'static>, CommError> {
         Self::assert_user_tag(tag);
-        self.assert_peer(dst);
-        self.op_gate()?;
-        self.peer_alive(dst)?;
-        self.shared
-            .send_payload(self.rank, dst, tag, Payload::Owned(as_bytes(data).to_vec()));
-        Ok(Request {
-            kind: ReqKind::SendDone,
-            _buf: PhantomData,
+        Request::new(match self.send_any_tag(dst, tag, data) {
+            Ok(()) => ReqKind::SendDone,
+            Err(e) => ReqKind::Failed(e),
         })
     }
 
@@ -1024,55 +1013,32 @@ impl Comm {
     ///
     /// Under an active fault plan the payload is copied eagerly after all
     /// (held/duplicated messages must not pin the caller's buffer), so the
-    /// request completes at post time.
+    /// request completes at post time. A refused post fails on completion,
+    /// as with [`Comm::isend`].
     pub fn isend_ref<'buf, T: Pod>(&self, dst: usize, tag: Tag, data: &'buf [T]) -> Request<'buf> {
-        Self::panic_on(self.try_isend_ref(dst, tag, data))
-    }
-
-    /// Checked [`Comm::isend_ref`].
-    pub fn try_isend_ref<'buf, T: Pod>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: &'buf [T],
-    ) -> Result<Request<'buf>, CommError> {
         Self::assert_user_tag(tag);
-        self.assert_peer(dst);
-        self.op_gate()?;
-        self.peer_alive(dst)?;
         let bytes = as_bytes(data);
         let token = Arc::new(SendToken::new());
-        self.shared.send_payload(
-            self.rank,
-            dst,
-            tag,
-            Payload::Borrowed {
-                ptr: bytes.as_ptr(),
-                len: bytes.len(),
-                token: Arc::clone(&token),
-            },
-        );
-        Ok(Request {
-            kind: ReqKind::SendBorrowed {
+        let posted = self.post_send(dst, tag, || Payload::Borrowed {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            token: Arc::clone(&token),
+        });
+        Request::new(match posted {
+            Ok(()) => ReqKind::SendBorrowed {
                 token,
                 world: Arc::downgrade(&self.shared),
                 src: self.rank,
                 dst,
                 tag,
             },
-            _buf: PhantomData,
+            Err(e) => ReqKind::Failed(e),
         })
     }
 
     /// Blocking send (same delivery semantics as [`Comm::isend`]).
-    pub fn send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) {
-        let req = self.isend(dst, tag, data);
-        self.wait(req);
-    }
-
-    /// Checked [`Comm::send`].
-    pub fn try_send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Result<(), CommError> {
-        self.try_isend(dst, tag, data).map(|_req| ())
+    pub fn send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Result<(), CommError> {
+        self.wait(self.isend(dst, tag, data))
     }
 
     /// Nonblocking receive into `buf`. The message is matched and copied
@@ -1082,65 +1048,24 @@ impl Comm {
     pub fn irecv<'buf, T: Pod>(&self, src: usize, tag: Tag, buf: &'buf mut [T]) -> Request<'buf> {
         Self::assert_user_tag(tag);
         self.assert_peer(src);
-        Request {
-            kind: ReqKind::Recv {
-                src,
-                tag,
-                dst: buf.as_mut_ptr() as *mut u8,
-                bytes: std::mem::size_of_val(buf),
-            },
-            _buf: PhantomData,
-        }
+        Request::new(ReqKind::Recv {
+            src,
+            tag,
+            dst: buf.as_mut_ptr() as *mut u8,
+            bytes: std::mem::size_of_val(buf),
+        })
     }
 
-    /// Blocking receive into `buf`; the message length must match exactly.
-    pub fn recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) {
-        Self::assert_user_tag(tag);
-        let req = self.irecv(src, tag, buf);
-        self.wait(req);
-    }
-
-    /// Checked [`Comm::recv`]: blocking, but fails (instead of panicking or
-    /// hanging forever) on truncation, poison, or a dead peer.
-    pub fn try_recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) -> Result<(), CommError> {
-        let req = self.irecv(src, tag, buf);
-        self.try_wait(req)
-    }
-
-    /// Bounded blocking receive: [`CommError::Timeout`] if no matching
-    /// message arrives within `timeout` (the receive is then cancelled).
-    pub fn recv_timeout<T: Pod>(
-        &self,
-        src: usize,
-        tag: Tag,
-        buf: &mut [T],
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        let req = self.irecv(src, tag, buf);
-        self.wait_timeout(req, timeout)
+    /// Blocking receive into `buf`; a message of another length fails with
+    /// [`CommError::Truncated`].
+    pub fn recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) -> Result<(), CommError> {
+        self.wait(self.irecv(src, tag, buf))
     }
 
     /// Blocking receive of a message of unknown length.
-    pub fn recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Vec<T> {
+    pub fn recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>, CommError> {
         Self::assert_user_tag(tag);
-        self.recv_vec_internal(src, tag)
-    }
-
-    /// Checked [`Comm::recv_vec`].
-    pub fn try_recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>, CommError> {
-        Self::assert_user_tag(tag);
-        self.try_recv_vec_internal(src, tag, None)
-    }
-
-    /// Bounded [`Comm::recv_vec`].
-    pub fn recv_vec_timeout<T: Pod>(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Vec<T>, CommError> {
-        Self::assert_user_tag(tag);
-        self.try_recv_vec_internal(src, tag, Some(timeout))
+        self.recv_vec_any_tag(src, tag)
     }
 
     fn wait_inner(
@@ -1151,6 +1076,7 @@ impl Comm {
         // Leave `SendDone` behind so the Drop impl sees a completed request.
         match std::mem::replace(&mut req.kind, ReqKind::SendDone) {
             ReqKind::SendDone => Ok(()),
+            ReqKind::Failed(e) => Err(e),
             ReqKind::SendBorrowed {
                 token, dst, tag, ..
             } => self
@@ -1186,13 +1112,9 @@ impl Comm {
         }
     }
 
-    /// Completes one request (blocking).
-    pub fn wait(&self, mut req: Request<'_>) {
-        Self::panic_on(self.wait_inner(&mut req, None));
-    }
-
-    /// Checked [`Comm::wait`].
-    pub fn try_wait(&self, mut req: Request<'_>) -> Result<(), CommError> {
+    /// Completes one request (blocking). Fails on a refused post, a
+    /// truncated message, a dead peer or a poisoned world.
+    pub fn wait(&self, mut req: Request<'_>) -> Result<(), CommError> {
         self.wait_inner(&mut req, None)
     }
 
@@ -1203,101 +1125,26 @@ impl Comm {
         self.wait_inner(&mut req, Some(timeout))
     }
 
-    /// Completes all requests (blocking, in order — the set is completed
-    /// when the call returns, like `MPI_Waitall`).
-    pub fn waitall<'a>(&self, reqs: impl IntoIterator<Item = Request<'a>>) {
-        for r in reqs {
-            self.wait(r);
-        }
-    }
-
-    /// Checked [`Comm::waitall`]: stops at the first failure; the remaining
-    /// requests are dropped (receives cancelled, borrowed sends settled by
-    /// the poison-aware Drop).
-    pub fn try_waitall<'a>(
+    /// Completes all requests (blocking, in order, like `MPI_Waitall`).
+    /// Stops at the first failure; the remaining requests are dropped
+    /// (receives cancelled, borrowed sends settled by the poison-aware
+    /// Drop).
+    pub fn waitall<'a>(
         &self,
         reqs: impl IntoIterator<Item = Request<'a>>,
     ) -> Result<(), CommError> {
         for r in reqs {
-            self.try_wait(r)?;
+            self.wait(r)?;
         }
         Ok(())
     }
 
-    /// Attempts to complete one request without blocking. Returns the
-    /// request back if it is not ready.
-    pub fn test<'a>(&self, mut req: Request<'a>) -> Result<(), Request<'a>> {
-        match &req.kind {
-            ReqKind::SendDone => Ok(()),
-            ReqKind::SendBorrowed { token, .. } => {
-                if token.is_consumed() {
-                    req.kind = ReqKind::SendDone;
-                    Ok(())
-                } else {
-                    Err(req)
-                }
-            }
-            ReqKind::Recv {
-                src,
-                tag,
-                dst,
-                bytes,
-            } => {
-                let (src, tag, dst, bytes) = (*src, *tag, *dst, *bytes);
-                self.shared.pump();
-                match self.shared.mailboxes[self.rank].try_pop(src, tag) {
-                    Some(payload) => {
-                        assert_eq!(payload.len(), bytes, "message size mismatch in test");
-                        // SAFETY: as in `wait` — exclusive buffer, length
-                        // checked.
-                        unsafe {
-                            payload.consume_into(dst);
-                        }
-                        self.shared.bump_progress();
-                        req.kind = ReqKind::SendDone;
-                        Ok(())
-                    }
-                    None => Err(req),
-                }
-            }
-        }
-    }
-
-    /// Combined send-and-receive (like `MPI_Sendrecv`): sends `outgoing` to
-    /// `dst` and receives from `src` into `incoming`, deadlock-free
-    /// regardless of call ordering across ranks (the send is buffered).
-    pub fn sendrecv<T: Pod>(
-        &self,
-        dst: usize,
-        send_tag: Tag,
-        outgoing: &[T],
-        src: usize,
-        recv_tag: Tag,
-        incoming: &mut [T],
-    ) {
-        let sreq = self.isend(dst, send_tag, outgoing);
-        self.recv(src, recv_tag, incoming);
-        self.wait(sreq);
-    }
-
-    /// Non-blocking probe: whether a message from `(src, tag)` is waiting,
-    /// and its payload size in bytes if so.
-    pub fn iprobe(&self, src: usize, tag: Tag) -> Option<usize> {
-        Self::assert_user_tag(tag);
-        self.assert_peer(src);
-        self.shared.pump();
-        self.shared.mailboxes[self.rank].peek_len(src, tag)
-    }
-
     // -- barrier -------------------------------------------------------------
 
-    /// World barrier: returns when all ranks have entered.
-    pub fn barrier(&self) {
-        Self::panic_on(self.try_barrier());
-    }
-
-    /// Checked [`Comm::barrier`]: fails fast when the world is poisoned.
-    pub fn try_barrier(&self) -> Result<(), CommError> {
+    /// World barrier: returns when all ranks have entered. Fails fast when
+    /// the world is poisoned or the fault plan has killed a rank, which
+    /// can then never arrive.
+    pub fn barrier(&self) -> Result<(), CommError> {
         self.op_gate()?;
         let shared = &self.shared;
         shared.enter_pending(self.rank, PendingKind::Barrier, None, None, None);
@@ -1319,9 +1166,14 @@ impl Comm {
                 if st.generation != gen {
                     break Ok(());
                 }
+                // withdraw on failure: the barrier will never open
                 if shared.is_poisoned() {
-                    st.count -= 1; // withdraw: the barrier will never open
+                    st.count -= 1;
                     break Err(shared.poison_error());
+                }
+                if let Some(peer) = shared.chaos.as_ref().and_then(|c| c.first_dead()) {
+                    st.count -= 1;
+                    break Err(CommError::PeerDead { peer });
                 }
                 st = if sliced {
                     shared
@@ -1425,10 +1277,10 @@ mod tests {
     fn basic_send_recv() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 7, &[1.0f64, 2.0, 3.0]);
+                c.send(1, 7, &[1.0f64, 2.0, 3.0]).unwrap();
             } else {
                 let mut buf = [0.0f64; 3];
-                c.recv(0, 7, &mut buf);
+                c.recv(0, 7, &mut buf).unwrap();
                 assert_eq!(buf, [1.0, 2.0, 3.0]);
             }
         });
@@ -1442,7 +1294,7 @@ mod tests {
             let rreq = c.irecv(peer, 1, &mut inbox);
             let data = [c.rank() as u32; 4];
             let sreq = c.isend(peer, 1, &data);
-            c.waitall([rreq, sreq]);
+            c.waitall([rreq, sreq]).unwrap();
             assert_eq!(inbox, [peer as u32; 4]);
         });
     }
@@ -1452,14 +1304,14 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 0 {
                 // send tag 2 first, then tag 1
-                c.send(1, 2, &[20.0f64]);
-                c.send(1, 1, &[10.0f64]);
+                c.send(1, 2, &[20.0f64]).unwrap();
+                c.send(1, 1, &[10.0f64]).unwrap();
             } else {
                 // receive in the opposite tag order
                 let mut a = [0.0f64];
                 let mut b = [0.0f64];
-                c.recv(0, 1, &mut a);
-                c.recv(0, 2, &mut b);
+                c.recv(0, 1, &mut a).unwrap();
+                c.recv(0, 2, &mut b).unwrap();
                 assert_eq!(a, [10.0]);
                 assert_eq!(b, [20.0]);
             }
@@ -1471,12 +1323,12 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 0 {
                 for i in 0..10u64 {
-                    c.send(1, 5, &[i]);
+                    c.send(1, 5, &[i]).unwrap();
                 }
             } else {
                 for i in 0..10u64 {
                     let mut buf = [0u64];
-                    c.recv(0, 5, &mut buf);
+                    c.recv(0, 5, &mut buf).unwrap();
                     assert_eq!(buf[0], i, "FIFO order violated");
                 }
             }
@@ -1486,9 +1338,9 @@ mod tests {
     #[test]
     fn self_messaging_works() {
         spawn_world(1, |c| {
-            c.send(0, 3, &[42i32]);
+            c.send(0, 3, &[42i32]).unwrap();
             let mut buf = [0i32];
-            c.recv(0, 3, &mut buf);
+            c.recv(0, 3, &mut buf).unwrap();
             assert_eq!(buf[0], 42);
         });
     }
@@ -1497,9 +1349,9 @@ mod tests {
     fn recv_vec_handles_unknown_lengths() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 9, &[1u32, 2, 3, 4, 5]);
+                c.send(1, 9, &[1u32, 2, 3, 4, 5]).unwrap();
             } else {
-                let v: Vec<u32> = c.recv_vec(0, 9);
+                let v: Vec<u32> = c.recv_vec(0, 9).unwrap();
                 assert_eq!(v, vec![1, 2, 3, 4, 5]);
             }
         });
@@ -1510,21 +1362,20 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 1 {
                 let mut buf = [0.0f64];
-                let mut req = c.irecv(0, 4, &mut buf);
-                // spin with test() until the message lands
+                // poll with zero-length bounded waits until the message
+                // lands: each timed-out receive is cancelled and reposted,
+                // and none of them may swallow the message
                 loop {
-                    match c.test(req) {
+                    match c.wait_timeout(c.irecv(0, 4, &mut buf), Duration::ZERO) {
                         Ok(()) => break,
-                        Err(r) => {
-                            req = r;
-                            std::thread::yield_now();
-                        }
+                        Err(CommError::Timeout { .. }) => std::thread::yield_now(),
+                        Err(e) => panic!("unexpected {e}"),
                     }
                 }
                 assert_eq!(buf[0], 6.5);
             } else {
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                c.send(1, 4, &[6.5f64]);
+                c.send(1, 4, &[6.5f64]).unwrap();
             }
         });
     }
@@ -1538,11 +1389,11 @@ mod tests {
         spawn_world(4, |c| {
             for round in 1..=10 {
                 BEFORE.fetch_add(1, Ordering::SeqCst);
-                c.barrier();
+                c.barrier().unwrap();
                 if BEFORE.load(Ordering::SeqCst) < 4 * round {
                     FAILED.fetch_add(1, Ordering::SeqCst);
                 }
-                c.barrier();
+                c.barrier().unwrap();
             }
         });
         assert_eq!(FAILED.load(Ordering::SeqCst), 0);
@@ -1558,12 +1409,12 @@ mod tests {
                 (it.next().unwrap(), it.next().unwrap())
             };
             let h = std::thread::spawn(move || {
-                c1.send(0, 1, &[0u8; 100]);
-                c1.barrier();
+                c1.send(0, 1, &[0u8; 100]).unwrap();
+                c1.barrier().unwrap();
             });
             let mut buf = [0u8; 100];
-            c0.recv(1, 1, &mut buf);
-            c0.barrier();
+            c0.recv(1, 1, &mut buf).unwrap();
+            c0.barrier().unwrap();
             h.join().unwrap();
             stats_bytes = (c0.stats().messages(), c0.stats().bytes());
         }
@@ -1588,29 +1439,19 @@ mod tests {
     fn size_mismatch_detected_on_wait() {
         let comms = CommWorld::create(1);
         let c = &comms[0];
-        c.send(0, 1, &[1.0f64, 2.0]);
+        let truncated = CommError::Truncated {
+            src: 0,
+            tag: 1,
+            expected: 8,
+            got: 16,
+        };
         let mut small = [0.0f64; 1];
+        c.send(0, 1, &[1.0f64, 2.0]).unwrap();
         let req = c.irecv(0, 1, &mut small);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait(req)));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn size_mismatch_is_typed_on_try_wait() {
-        let comms = CommWorld::create(1);
-        let c = &comms[0];
-        c.send(0, 1, &[1.0f64, 2.0]);
-        let mut small = [0.0f64; 1];
-        let err = c.try_recv(0, 1, &mut small).unwrap_err();
-        assert_eq!(
-            err,
-            CommError::Truncated {
-                src: 0,
-                tag: 1,
-                expected: 8,
-                got: 16
-            }
-        );
+        assert_eq!(c.wait(req), Err(truncated.clone()));
+        // the blocking receive completes through the same path
+        c.send(0, 1, &[1.0f64, 2.0]).unwrap();
+        assert_eq!(c.recv(0, 1, &mut small), Err(truncated));
     }
 
     #[test]
@@ -1621,7 +1462,7 @@ mod tests {
             let mut incoming = [0usize; 1];
             let rreq = c.irecv(prev, 11, &mut incoming);
             let sreq = c.isend(next, 11, &[c.rank()]);
-            c.waitall([sreq, rreq]);
+            c.waitall([sreq, rreq]).unwrap();
             assert_eq!(incoming[0], prev);
         });
     }
@@ -1633,7 +1474,10 @@ mod tests {
             let prev = (c.rank() + c.size() - 1) % c.size();
             let out = [c.rank() as f64 * 2.0];
             let mut inc = [0.0f64];
-            c.sendrecv(next, 8, &out, prev, 8, &mut inc);
+            // MPI_Sendrecv by hand: the buffered send cannot block the ring
+            let sreq = c.isend(next, 8, &out);
+            c.recv(prev, 8, &mut inc).unwrap();
+            c.wait(sreq).unwrap();
             assert_eq!(inc[0], prev as f64 * 2.0);
         });
     }
@@ -1643,7 +1487,9 @@ mod tests {
         spawn_world(1, |c| {
             let out = [7u32, 8];
             let mut inc = [0u32; 2];
-            c.sendrecv(0, 2, &out, 0, 2, &mut inc);
+            let sreq = c.isend(0, 2, &out);
+            c.recv(0, 2, &mut inc).unwrap();
+            c.wait(sreq).unwrap();
             assert_eq!(inc, [7, 8]);
         });
     }
@@ -1656,7 +1502,7 @@ mod tests {
             let rreq = c.irecv(peer, 1, &mut inbox);
             let data = [c.rank() as f64 + 0.5; 64];
             let sreq = c.isend_ref(peer, 1, &data);
-            c.waitall([rreq, sreq]);
+            c.waitall([rreq, sreq]).unwrap();
             assert_eq!(inbox, [peer as f64 + 0.5; 64]);
         });
     }
@@ -1671,12 +1517,12 @@ mod tests {
                     // _sreq dropped here: must block until rank 1 receives,
                     // so `data` stays valid for the in-flight message.
                 }
-                c.barrier();
+                c.barrier().unwrap();
             } else {
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                let v: Vec<u32> = c.recv_vec(0, 3);
+                let v: Vec<u32> = c.recv_vec(0, 3).unwrap();
                 assert_eq!(v, vec![7u32; 100]);
-                c.barrier();
+                c.barrier().unwrap();
             }
         });
     }
@@ -1686,21 +1532,17 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 0 {
                 let data = [1.0f64, 2.0];
-                let mut req = c.isend_ref(1, 9, &data);
-                c.barrier(); // let rank 1 consume first
-                c.barrier();
-                loop {
-                    match c.test(req) {
-                        Ok(()) => break,
-                        Err(r) => req = r,
-                    }
-                }
+                let req = c.isend_ref(1, 9, &data);
+                c.barrier().unwrap(); // let rank 1 consume first
+                c.barrier().unwrap();
+                // consumed already: a zero-length bounded wait completes it
+                c.wait_timeout(req, Duration::ZERO).unwrap();
             } else {
-                c.barrier();
+                c.barrier().unwrap();
                 let mut buf = [0.0f64; 2];
-                c.recv(0, 9, &mut buf);
+                c.recv(0, 9, &mut buf).unwrap();
                 assert_eq!(buf, [1.0, 2.0]);
-                c.barrier();
+                c.barrier().unwrap();
             }
         });
     }
@@ -1714,18 +1556,18 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     if c.rank() == 0 {
-                        c.send(1, 1, &[0u8; 10]); // intra-node
-                        c.send(2, 1, &[0u8; 20]); // inter-node
+                        c.send(1, 1, &[0u8; 10]).unwrap(); // intra-node
+                        c.send(2, 1, &[0u8; 20]).unwrap(); // inter-node
                     }
                     if c.rank() == 1 {
                         let mut b = [0u8; 10];
-                        c.recv(0, 1, &mut b);
+                        c.recv(0, 1, &mut b).unwrap();
                     }
                     if c.rank() == 2 {
                         let mut b = [0u8; 20];
-                        c.recv(0, 1, &mut b);
+                        c.recv(0, 1, &mut b).unwrap();
                     }
-                    c.barrier();
+                    c.barrier().unwrap();
                     c.stats().snapshot()
                 })
             })
@@ -1746,15 +1588,15 @@ mod tests {
     fn flat_world_counts_nonself_traffic_as_inter() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(0, 2, &[1u8]); // self-message: intra
-                c.send(1, 2, &[1u8, 2]); // cross-rank: inter (no node map)
+                c.send(0, 2, &[1u8]).unwrap(); // self-message: intra
+                c.send(1, 2, &[1u8, 2]).unwrap(); // cross-rank: inter (no node map)
                 let mut b = [0u8; 1];
-                c.recv(0, 2, &mut b);
+                c.recv(0, 2, &mut b).unwrap();
             } else {
                 let mut b = [0u8; 2];
-                c.recv(0, 2, &mut b);
+                c.recv(0, 2, &mut b).unwrap();
             }
-            c.barrier();
+            c.barrier().unwrap();
             let snap = c.stats().snapshot();
             assert_eq!(snap.intra_messages, 1);
             assert_eq!(snap.inter_messages, 1);
@@ -1765,15 +1607,23 @@ mod tests {
     fn iprobe_reports_pending_message_length() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 6, &[1.0f64, 2.0, 3.0]);
-                c.barrier();
+                c.send(1, 6, &[1.0f64, 2.0, 3.0]).unwrap();
+                c.barrier().unwrap();
             } else {
-                c.barrier(); // message is definitely queued now
-                assert_eq!(c.iprobe(0, 6), Some(24));
-                assert_eq!(c.iprobe(0, 7), None, "different tag must not match");
-                let mut buf = [0.0f64; 3];
-                c.recv(0, 6, &mut buf);
-                assert_eq!(c.iprobe(0, 6), None, "probe after consume");
+                c.barrier().unwrap(); // message is definitely queued now
+                let mut buf = [0.0f64; 1];
+                let probe =
+                    |buf: &mut [f64], tag| c.wait_timeout(c.irecv(0, tag, buf), Duration::ZERO);
+                assert!(
+                    matches!(probe(&mut buf, 7), Err(CommError::Timeout { .. })),
+                    "different tag must not match"
+                );
+                let v: Vec<f64> = c.recv_vec(0, 6).unwrap();
+                assert_eq!(v.len() * 8, 24);
+                assert!(
+                    matches!(probe(&mut buf, 6), Err(CommError::Timeout { .. })),
+                    "probe after consume"
+                );
             }
         });
     }
@@ -1785,7 +1635,7 @@ mod tests {
         let comms = CommWorld::create(2);
         let mut buf = [0u8; 4];
         let err = comms[0]
-            .recv_timeout(1, 5, &mut buf, Duration::from_millis(20))
+            .wait_timeout(comms[0].irecv(1, 5, &mut buf), Duration::from_millis(20))
             .unwrap_err();
         match err {
             CommError::Timeout { rank, src, tag, .. } => {
@@ -1794,8 +1644,8 @@ mod tests {
             other => panic!("expected Timeout, got {other}"),
         }
         // a late message must still be receivable after the cancel
-        comms[1].send(0, 5, &[9u8, 9, 9, 9]);
-        comms[0].recv(1, 5, &mut buf);
+        comms[1].send(0, 5, &[9u8, 9, 9, 9]).unwrap();
+        comms[0].recv(1, 5, &mut buf).unwrap();
         assert_eq!(buf, [9, 9, 9, 9]);
     }
 
@@ -1810,16 +1660,16 @@ mod tests {
         run_comms(comms, |c| {
             if c.rank() == 0 {
                 for i in 0..200u64 {
-                    c.send(1, 5, &[i]);
+                    c.send(1, 5, &[i]).unwrap();
                 }
-                c.barrier();
+                c.barrier().unwrap();
             } else {
                 for i in 0..200u64 {
                     let mut buf = [0u64];
-                    c.recv(0, 5, &mut buf);
+                    c.recv(0, 5, &mut buf).unwrap();
                     assert_eq!(buf[0], i, "reassembly must restore FIFO order");
                 }
-                c.barrier();
+                c.barrier().unwrap();
                 let stats = c.fault_stats().expect("plan attached");
                 assert!(stats.total() > 0, "the plan must actually inject faults");
             }
@@ -1836,12 +1686,12 @@ mod tests {
                 let data = vec![3.25f64; 32];
                 let req = c.isend_ref(1, 2, &data);
                 // under chaos the payload is copied at post time
-                c.wait(req);
-                c.barrier();
+                c.wait(req).unwrap();
+                c.barrier().unwrap();
             } else {
-                let v: Vec<f64> = c.recv_vec(0, 2);
+                let v: Vec<f64> = c.recv_vec(0, 2).unwrap();
                 assert_eq!(v, vec![3.25f64; 32]);
-                c.barrier();
+                c.barrier().unwrap();
             }
         });
     }
@@ -1853,7 +1703,7 @@ mod tests {
             .build();
         run_comms(comms, |c| {
             // both ranks wait for messages nobody sends: a guaranteed stall
-            let err = c.try_recv_vec::<u8>(1 - c.rank(), 3).unwrap_err();
+            let err = c.recv_vec::<u8>(1 - c.rank(), 3).unwrap_err();
             let CommError::Poisoned { report } = err else {
                 panic!("expected Poisoned");
             };
@@ -1873,22 +1723,76 @@ mod tests {
         run_comms(comms, |c| {
             if c.rank() == 1 {
                 // two ops succeed, the third hits the kill switch
-                c.try_send(0, 4, &[1u8]).unwrap();
-                c.try_send(0, 4, &[2u8]).unwrap();
-                let err = c.try_send(0, 4, &[3u8]).unwrap_err();
+                c.send(0, 4, &[1u8]).unwrap();
+                c.send(0, 4, &[2u8]).unwrap();
+                let err = c.send(0, 4, &[3u8]).unwrap_err();
                 assert_eq!(err, CommError::PeerDead { peer: 1 });
             } else {
                 // in-flight messages remain receivable after the death
                 let mut b = [0u8];
-                c.recv(1, 4, &mut b);
+                c.recv(1, 4, &mut b).unwrap();
                 assert_eq!(b[0], 1);
-                c.recv(1, 4, &mut b);
+                c.recv(1, 4, &mut b).unwrap();
                 assert_eq!(b[0], 2);
                 // the third was never sent — and never will be
-                let err = c.try_recv(1, 4, &mut b).unwrap_err();
+                let err = c.recv(1, 4, &mut b).unwrap_err();
                 assert_eq!(err, CommError::PeerDead { peer: 1 });
             }
         });
+    }
+
+    #[test]
+    fn refused_posts_fail_on_completion() {
+        // peer killed: both send flavours post, and their wait reports it
+        let comms = CommWorld::builder(2)
+            .faults(FaultPlan::new(3).kill_rank(1, 0))
+            .build();
+        assert_eq!(
+            comms[1].send(0, 1, &[0u8]),
+            Err(CommError::PeerDead { peer: 1 }),
+            "a dead rank's own post names itself"
+        );
+        let c = &comms[0];
+        let data = [1.0f64; 4];
+        let dead = Err(CommError::PeerDead { peer: 1 });
+        assert_eq!(c.wait(c.isend(1, 2, &data)), dead);
+        assert_eq!(c.wait(c.isend_ref(1, 2, &data)), dead);
+        assert_eq!(c.stats().messages(), 0, "a refused post sends nothing");
+
+        // poisoned world: every post fails with the watchdog's report
+        let comms = CommWorld::builder(2)
+            .watchdog(Duration::from_millis(20))
+            .build();
+        let c = &comms[0];
+        assert!(matches!(
+            c.recv_vec::<u8>(1, 3),
+            Err(CommError::Poisoned { .. })
+        ));
+        let req = c.isend_ref(1, 2, &data);
+        assert!(matches!(c.waitall([req]), Err(CommError::Poisoned { .. })));
+    }
+
+    #[test]
+    fn barrier_fails_fast_when_a_peer_is_dead() {
+        // rank 1 dies on its first op; without a watchdog nothing would
+        // ever wake rank 0, so the barrier itself must notice
+        let comms = CommWorld::builder(2)
+            .faults(FaultPlan::new(1).kill_rank(1, 0))
+            .build();
+        let (tx, rx) = std::sync::mpsc::channel();
+        for c in comms {
+            let tx = tx.clone();
+            std::thread::spawn(move || tx.send((c.rank(), c.barrier())));
+        }
+        let mut got = [None, None];
+        for _ in 0..2 {
+            let (rank, res) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("barrier hung on a dead peer");
+            got[rank] = Some(res);
+        }
+        let dead = Some(Err(CommError::PeerDead { peer: 1 }));
+        assert_eq!(got, [dead.clone(), dead]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! SpMV in any of the paper's three kernel modes (Fig. 4).
 //!
 //! The engine owns the *extended RHS vector* `x_ext = [local | halo]`: the
-//! caller writes the local part ([`RankEngine::x_local_mut`]), the halo part
-//! is filled by communication during [`RankEngine::spmv`], and the result
-//! appears in [`RankEngine::y_local`]. This mirrors how production SpMV
+//! caller writes the local part ([`RankEngine::x_local_mut`]), the halo
+//! part is filled by communication during [`RankEngine::spmv_checked`], and
+//! the result appears in [`RankEngine::y_local`]. This mirrors how production SpMV
 //! codes lay out the RHS so the unsplit kernel can run over one contiguous
 //! vector.
 //!
@@ -126,8 +126,7 @@ impl CommStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradedPolicy {
     /// Keep the configured strategy; a dead leader will surface as
-    /// [`CommError::PeerDead`] on the checked paths (or a panic on the
-    /// infallible ones).
+    /// [`CommError::PeerDead`] from the SpMV.
     #[default]
     Strict,
     /// Fall back to the flat exchange when any leader rank is degraded.
@@ -499,7 +498,7 @@ impl RankEngine {
         &self.x_ext[..self.plan.local_len]
     }
 
-    /// The local part of the result vector (valid after [`Self::spmv`]).
+    /// The local part of the result vector (valid after [`Self::spmv_checked`]).
     pub fn y_local(&self) -> &[f64] {
         &self.y
     }
@@ -542,33 +541,27 @@ impl RankEngine {
     /// barrier / work / barrier / diff dance the benches used to hand-roll
     /// (the counters are world-global, so the barriers keep every rank's
     /// traffic out of each other's phase).
+    ///
+    /// # Panics
+    /// Panics when a bracketing barrier fails: phase accounting is for
+    /// fault-free worlds.
     pub fn phase_delta<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, CommStats) {
-        self.comm.barrier();
+        const FAULT_FREE: &str = "phase_delta brackets a phase of a fault-free world";
+        self.comm.barrier().expect(FAULT_FREE);
         let base = self.comm.stats().snapshot();
-        self.comm.barrier();
+        self.comm.barrier().expect(FAULT_FREE);
         let r = f(self);
-        self.comm.barrier();
+        self.comm.barrier().expect(FAULT_FREE);
         let delta = self.comm.stats().phase_delta(&base);
         (r, delta)
     }
 
     /// Executes one distributed SpMV `y = A x` in the given mode. All ranks
-    /// must call this collectively with the same mode.
-    ///
-    /// # Panics
-    /// Panics on a communication fault — use [`Self::spmv_checked`] to get
-    /// the typed [`CommError`] instead.
-    pub fn spmv(&mut self, mode: KernelMode) {
-        if let Err(e) = self.spmv_checked(mode) {
-            panic!("spmv: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::spmv`]: the same collective SpMV, but a
-    /// communication fault (peer killed, world poisoned by the watchdog,
-    /// truncated message) surfaces as `Err(CommError)` instead of a panic.
-    /// On error the result vector is unspecified; the engine itself stays
-    /// structurally valid and can retry once the fault clears.
+    /// must call this collectively with the same mode. A communication
+    /// fault (peer killed, world poisoned by the watchdog, truncated
+    /// message) returns `Err(CommError)`; the result vector is then
+    /// unspecified, but the engine stays structurally valid and can retry
+    /// once the fault clears.
     pub fn spmv_checked(&mut self, mode: KernelMode) -> Result<(), CommError> {
         if mode.needs_comm_thread() {
             assert!(
@@ -580,15 +573,8 @@ impl RankEngine {
         self.run_table(mode.lanes(), true)
     }
 
-    /// Convenience wrapper copying `x` in and `y` out (costs two extra
+    /// [`Self::spmv_checked`] copying `x` in and `y` out (costs two extra
     /// vector copies; iterative solvers should use the in-place API).
-    pub fn apply(&mut self, x: &[f64], y: &mut [f64], mode: KernelMode) {
-        if let Err(e) = self.apply_checked(x, y, mode) {
-            panic!("apply: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::apply`].
     pub fn apply_checked(
         &mut self,
         x: &[f64],
@@ -626,20 +612,10 @@ impl RankEngine {
         &self.schedule
     }
 
-    /// Runs the gather + halo exchange alone (no SpMV). Collective — used
-    /// by the communication benchmarks to time the exchange in isolation.
-    ///
-    /// # Panics
-    /// Panics on a communication fault — use
-    /// [`Self::halo_exchange_checked`] for the typed error.
-    pub fn halo_exchange(&mut self) {
-        if let Err(e) = self.halo_exchange_checked() {
-            panic!("halo exchange: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::halo_exchange`]: the no-overlap table
-    /// without its kernel step (`Irecv` → gather → `Isend` → `Waitall`).
+    /// Runs the gather + halo exchange alone (no SpMV): the no-overlap
+    /// table without its kernel step (`Irecv` → gather → `Isend` →
+    /// `Waitall`). Collective — used by the communication benchmarks to
+    /// time the exchange in isolation.
     pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
         self.run_table(KernelMode::VectorNoOverlap.lanes(), false)
     }
@@ -929,7 +905,7 @@ mod tests {
                     let mut results = Vec::new();
                     for &mode in modes.iter() {
                         eng.x_local_mut().copy_from_slice(&x[range.clone()]);
-                        eng.spmv(mode);
+                        eng.spmv_checked(mode).unwrap();
                         results.push((mode, eng.y_local().to_vec()));
                     }
                     (range, results)
@@ -1026,7 +1002,7 @@ mod tests {
                     let mut eng = RankEngine::new(c, &block, &p, EngineConfig::task_mode(2));
                     eng.x_local_mut().copy_from_slice(&x0[range.clone()]);
                     for _ in 0..10 {
-                        eng.spmv(KernelMode::TaskMode);
+                        eng.spmv_checked(KernelMode::TaskMode).unwrap();
                         // normalize globally
                         let local_ss: f64 = eng.y_local().iter().map(|v| v * v).sum();
                         let global_ss = eng
@@ -1112,7 +1088,7 @@ mod tests {
                         let rank = eng.comm().rank();
                         // phase_delta brackets the exchange with the
                         // message-free barriers the world-global counters need
-                        let (_, delta) = eng.phase_delta(|e| e.halo_exchange());
+                        let (_, delta) = eng.phase_delta(|e| e.halo_exchange_checked().unwrap());
                         (rank, delta)
                     })
                 })
@@ -1208,7 +1184,8 @@ mod tests {
         let mut y_ref = vec![0.0; 200];
         m.spmv(&x, &mut y_ref);
         let mut y = vec![0.0; 200];
-        eng.apply(&x, &mut y, KernelMode::VectorNaiveOverlap);
+        eng.apply_checked(&x, &mut y, KernelMode::VectorNaiveOverlap)
+            .unwrap();
         assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-11);
     }
 
@@ -1227,7 +1204,8 @@ mod tests {
             EngineConfig::pure_mpi(),
         );
         let mut y = vec![0.0; 30];
-        eng.apply(&x, &mut y, KernelMode::VectorNoOverlap);
+        eng.apply_checked(&x, &mut y, KernelMode::VectorNoOverlap)
+            .unwrap();
         assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-13);
         assert_eq!(eng.spmv_calls(), 1);
     }
@@ -1244,7 +1222,7 @@ mod tests {
             EngineConfig::hybrid(2),
         );
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.spmv(KernelMode::TaskMode)
+            eng.spmv_checked(KernelMode::TaskMode)
         }));
         assert!(r.is_err());
     }
@@ -1280,15 +1258,15 @@ mod tests {
         let ys = crate::runner::run_spmd(&m, 8, cfg, |eng| {
             let range = eng.row_start()..eng.row_start() + eng.local_len();
             eng.x_local_mut().copy_from_slice(&x[range]);
-            eng.spmv(KernelMode::VectorNoOverlap);
+            eng.spmv_checked(KernelMode::VectorNoOverlap).unwrap();
             let y_na = eng.y_local().to_vec();
             assert_eq!(eng.active_strategy().label(), "node-aware");
             eng.demote_to_flat();
             assert_eq!(eng.active_strategy(), CommStrategy::Flat);
             // same mode → same summation order → bit-identical result
-            eng.spmv(KernelMode::VectorNoOverlap);
+            eng.spmv_checked(KernelMode::VectorNoOverlap).unwrap();
             assert_eq!(y_na, eng.y_local(), "demotion changed the result");
-            eng.spmv(KernelMode::TaskMode); // flat task mode still healthy
+            eng.spmv_checked(KernelMode::TaskMode).unwrap(); // flat task mode still healthy
             (eng.row_start(), eng.y_local().to_vec())
         });
         for (start, part) in ys {
@@ -1310,7 +1288,7 @@ mod tests {
             assert!(eng.trace_sink().is_some());
             eng.x_local_mut().fill(1.0);
             for mode in KernelMode::ALL {
-                eng.spmv(mode);
+                eng.spmv_checked(mode).unwrap();
             }
             eng.take_trace().expect("tracing enabled")
         });
@@ -1351,7 +1329,7 @@ mod tests {
         );
         assert!(eng.trace_sink().is_none());
         eng.x_local_mut().fill(1.0);
-        eng.spmv(KernelMode::VectorNoOverlap);
+        eng.spmv_checked(KernelMode::VectorNoOverlap).unwrap();
         assert!(eng.take_trace().is_none());
     }
 
@@ -1441,7 +1419,7 @@ mod tests {
                 .with_degraded_policy(DegradedPolicy::FallbackToFlat),
             |eng| {
                 eng.x_local_mut().fill(1.0);
-                eng.spmv(KernelMode::VectorNaiveOverlap);
+                eng.spmv_checked(KernelMode::VectorNaiveOverlap).unwrap();
                 eng.active_strategy()
             },
         );

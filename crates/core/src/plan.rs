@@ -25,6 +25,10 @@ use std::ops::Range;
 /// Tag used for the one-time node-aware plan metadata exchange.
 const TAG_NA_META: Tag = 29;
 
+/// Why plan construction may panic on a fault: it is collective setup,
+/// built on the collectives' fault-free contract.
+const HEALTHY_SETUP: &str = "plan construction runs on a fault-free world";
+
 /// One neighbour's worth of halo traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Neighbor {
@@ -591,6 +595,10 @@ pub fn build_node_aware_serial(plans: &[RankPlan], map: &RankNodeMap) -> Vec<Nod
 
 /// Builds this rank's node-aware plan collectively: each member sends its
 /// leader the (tiny, one-time) metadata the wire programs need.
+///
+/// # Panics
+/// Panics on a communication fault, as do the collectives the rest of
+/// plan construction uses.
 pub fn build_node_aware_distributed(
     comm: &Comm,
     flat: RankPlan,
@@ -614,7 +622,7 @@ pub fn build_node_aware_distributed(
                 inter_send.push(my_meta_send.clone());
                 recv_nodes.push(my_meta_recv.clone());
             } else {
-                let raw: Vec<u32> = comm.recv_vec(r, TAG_NA_META);
+                let raw: Vec<u32> = comm.recv_vec(r, TAG_NA_META).expect(HEALTHY_SETUP);
                 let ns = raw[0] as usize;
                 let send_part = raw[1..1 + 2 * ns]
                     .chunks_exact(2)
@@ -641,7 +649,8 @@ pub fn build_node_aware_distributed(
             raw.push(n);
             raw.push(l);
         }
-        comm.send(map.leader_of(me), TAG_NA_META, &raw);
+        comm.send(map.leader_of(me), TAG_NA_META, &raw)
+            .expect(HEALTHY_SETUP);
         None
     };
     node_aware_member_side(flat, map, leader)

@@ -45,9 +45,9 @@ where
 /// per partition part, in rank order.
 ///
 /// # Panics
-/// Propagates panics from rank threads (including infallible-API panics
-/// triggered by injected faults; use the engine's `*_checked` methods in
-/// `f` to observe faults as values instead).
+/// Propagates panics from rank threads. Engine construction builds the
+/// plan with collectives, which panic on a fault; after that every fault
+/// reaches `f` as a `CommError` from the engine's `*_checked` methods.
 pub fn run_spmd_on_world<F, R>(
     comms: Vec<Comm>,
     matrix: &CsrMatrix,
@@ -117,7 +117,8 @@ pub fn distributed_spmv(
     let pieces = run_spmd(matrix, ranks, cfg, |eng| {
         let range = eng.row_start()..eng.row_start() + eng.local_len();
         eng.x_local_mut().copy_from_slice(&x[range]);
-        eng.spmv(mode);
+        eng.spmv_checked(mode)
+            .expect("run_spmd builds a world without faults or watchdog");
         (eng.row_start(), eng.y_local().to_vec())
     });
     let mut y = vec![0.0; matrix.nrows()];

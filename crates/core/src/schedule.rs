@@ -460,13 +460,12 @@ impl<'s, 'a> Exchange<'s, 'a> {
                 }
                 XOp::Send(m) => {
                     let data = self.frozen(m.buf, &m.range, send);
-                    self.reqs
-                        .push(self.comm.try_isend_ref(m.peer, m.tag, data)?);
+                    self.reqs.push(self.comm.isend_ref(m.peer, m.tag, data));
                 }
                 XOp::Recv(m) => {
                     let (k, r) = self.locate(m.buf, &m.range);
                     let seg = self.take_mut(k);
-                    let res = self.comm.try_recv(m.peer, m.tag, &mut seg[r]);
+                    let res = self.comm.recv(m.peer, m.tag, &mut seg[r]);
                     self.segs[k] = Seg::Mut(seg);
                     res?;
                 }
@@ -476,7 +475,7 @@ impl<'s, 'a> Exchange<'s, 'a> {
                     seg[r].copy_from_slice(self.read(*from, src, send));
                     self.segs[k] = Seg::Mut(seg);
                 }
-                XOp::WaitAll => self.comm.try_waitall(self.reqs.drain(..))?,
+                XOp::WaitAll => self.comm.waitall(self.reqs.drain(..))?,
             }
         }
         Ok(())

@@ -111,8 +111,13 @@ impl LinOp for DistOp<'_> {
         self.engine.local_len()
     }
 
+    /// # Panics
+    /// Panics on a communication fault; fault-tolerant solvers call
+    /// [`LinOp::try_apply`] instead.
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.engine.apply(x, y, self.mode);
+        self.engine
+            .apply_checked(x, y, self.mode)
+            .expect("LinOp::apply runs on a fault-free world (try_apply reports faults)");
     }
 
     fn try_apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), spmv_comm::CommError> {

@@ -8,8 +8,8 @@
 //!   `// SAFETY:` comment (or, for `unsafe fn` declarations, a `# Safety`
 //!   doc section) stating the invariant that makes it sound;
 //! * [`LINT_UNWRAP`] — `.unwrap()` (or an `.expect` with a vacuous
-//!   message) in `crates/comm` / `crates/core` non-test code, where a
-//!   panic takes down a rank mid-collective.
+//!   message) in `crates/comm` / `crates/core` / `crates/solvers`
+//!   non-test code, where a panic takes down a rank mid-collective.
 //!
 //! The scanner is line-based with a small token-level pass that strips
 //! comments and string literals, so lints fire on code, not prose. Each
@@ -367,10 +367,17 @@ pub fn lint_safety(path: &Path, text: &str) -> Vec<Finding> {
 /// restating the call.
 const MIN_EXPECT_MESSAGE: usize = 8;
 
-/// Whether this path is subject to the unwrap lint.
+/// Whether this path is subject to the unwrap lint: the comm layer, the
+/// engine, and the solvers that call the engine's fallible API.
 pub fn unwrap_lint_applies(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
-    p.contains("crates/comm/src/") || p.contains("crates/core/src/")
+    [
+        "crates/comm/src/",
+        "crates/core/src/",
+        "crates/solvers/src/",
+    ]
+    .iter()
+    .any(|dir| p.contains(dir))
 }
 
 /// Lints one hot-crate file for `.unwrap()` and vacuous `.expect`.
@@ -558,6 +565,24 @@ mod tests {
         let f = lint_unwrap(Path::new("crates/core/src/x.rs"), text);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn unwrap_lint_covers_comm_engine_and_solvers() {
+        for p in [
+            "crates/comm/src/world.rs",
+            "crates/core/src/engine.rs",
+            "crates/solvers/src/operator.rs",
+        ] {
+            assert!(unwrap_lint_applies(Path::new(p)), "{p}");
+        }
+        for p in [
+            "crates/solvers/tests/x.rs",
+            "crates/bench/src/lib.rs",
+            "tests/chaos.rs",
+        ] {
+            assert!(!unwrap_lint_applies(Path::new(p)), "{p}");
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn run_sweeps(
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode).unwrap();
         }
         let faults = eng.comm().fault_stats().map_or(0, |s| s.total());
         (eng.y_local().to_vec(), faults)
@@ -213,7 +213,7 @@ fn killed_rank_fails_fast_with_typed_errors() {
     }
 }
 
-/// `recv_timeout` bounds a wait on a message that never comes.
+/// `wait_timeout` bounds a receive of a message that never comes.
 #[test]
 fn recv_timeout_reports_typed_timeout() {
     let comms = CommWorld::create(2);
@@ -223,9 +223,8 @@ fn recv_timeout_reports_typed_timeout() {
             std::thread::spawn(move || {
                 if c.rank() == 0 {
                     let mut buf = [0.0f64; 4];
-                    let err = c
-                        .recv_timeout(1, 5, &mut buf, Duration::from_millis(50))
-                        .unwrap_err();
+                    let req = c.irecv(1, 5, &mut buf);
+                    let err = c.wait_timeout(req, Duration::from_millis(50)).unwrap_err();
                     match err {
                         CommError::Timeout { src, tag, .. } => {
                             assert_eq!((src, tag), (1, 5));
@@ -254,10 +253,10 @@ fn truncated_message_is_detected() {
         .map(|c| {
             std::thread::spawn(move || {
                 if c.rank() == 0 {
-                    c.try_send(1, 4, &[1.0f64; 8]).unwrap();
+                    c.send(1, 4, &[1.0f64; 8]).unwrap();
                 } else {
                     let mut buf = [0.0f64; 8];
-                    let err = c.try_recv(0, 4, &mut buf).unwrap_err();
+                    let err = c.recv(0, 4, &mut buf).unwrap_err();
                     match err {
                         CommError::Truncated { expected, got, .. } => {
                             assert_eq!(expected, 64);

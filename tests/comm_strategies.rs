@@ -35,7 +35,7 @@ fn halo_bits(m: &CsrMatrix, ranks: usize, cfg: EngineConfig) -> Vec<(usize, Vec<
         let start = eng.plan().row_start;
         let len = eng.x_local().len();
         eng.x_local_mut().copy_from_slice(&x[start..start + len]);
-        eng.halo_exchange();
+        eng.halo_exchange_checked().unwrap();
         (
             eng.comm().rank(),
             eng.halo().iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
@@ -126,11 +126,11 @@ fn one_exchange_stats(m: &CsrMatrix, ranks: usize, rpn: usize, cfg: EngineConfig
                 scope.spawn(move || {
                     let block = m.row_block(partition.range(c.rank()));
                     let mut eng = RankEngine::new(c, &block, partition, cfg);
-                    eng.comm().barrier(); // plan-construction traffic done
+                    eng.comm().barrier().unwrap(); // plan-construction traffic done
                     let base = eng.comm().stats().snapshot();
-                    eng.comm().barrier(); // all baselines taken
-                    eng.halo_exchange();
-                    eng.comm().barrier(); // all exchange traffic recorded
+                    eng.comm().barrier().unwrap(); // all baselines taken
+                    eng.halo_exchange_checked().unwrap();
+                    eng.comm().barrier().unwrap(); // all exchange traffic recorded
                     (
                         eng.comm().rank(),
                         eng.comm().stats().snapshot().since(&base),
@@ -257,7 +257,7 @@ fn degenerate_plans_verify_and_agree_across_strategies() {
                     let range = eng.row_start()..eng.row_start() + eng.local_len();
                     KernelMode::ALL.map(|mode| {
                         eng.x_local_mut().copy_from_slice(&x[range.clone()]);
-                        eng.spmv(mode);
+                        eng.spmv_checked(mode).unwrap();
                         eng.y_local().to_vec()
                     })
                 });

@@ -58,7 +58,7 @@ fn p2p_message_storm_conserves_checksums() {
                         if dst != me {
                             continue;
                         }
-                        let data: Vec<f64> = c.recv_vec(src, src as u32);
+                        let data: Vec<f64> = c.recv_vec(src, src as u32).unwrap();
                         assert_eq!(data.len(), len, "length from {src} msg {k}");
                         let expect: f64 = (0..len).map(|j| (src * 1000 + k + j) as f64).sum();
                         let got: f64 = data.iter().sum();
@@ -66,7 +66,7 @@ fn p2p_message_storm_conserves_checksums() {
                         tr.fetch_add(got as u64, Ordering::Relaxed);
                     }
                 }
-                c.barrier();
+                c.barrier().unwrap();
             })
         })
         .collect();
@@ -118,7 +118,7 @@ fn collective_marathon() {
                         _ => {
                             let off = c.exscan_sum(1.0);
                             assert_eq!(off, c.rank() as f64);
-                            c.barrier();
+                            c.barrier().unwrap();
                         }
                     }
                 }
@@ -190,7 +190,7 @@ fn mode_switching_on_live_engines() {
         let mut errs = Vec::new();
         for round in 0..15 {
             let mode = KernelMode::ALL[round % 3];
-            eng.spmv(mode);
+            eng.spmv_checked(mode).unwrap();
             let err: f64 = eng
                 .y_local()
                 .iter()

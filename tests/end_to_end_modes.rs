@@ -90,7 +90,7 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
         let len = eng.local_len();
         eng.x_local_mut().copy_from_slice(&x0[lo..lo + len]);
         for _ in 0..8 {
-            eng.spmv(KernelMode::TaskMode);
+            eng.spmv_checked(KernelMode::TaskMode).unwrap();
             let local_ss: f64 = eng.y_local().iter().map(|v| v * v).sum();
             let comm = eng.comm().clone();
             let ops = DistOps { comm: &comm };
@@ -156,13 +156,13 @@ fn comm_stats_reflect_message_aggregation() {
             eng.x_local_mut().copy_from_slice(&x[lo..lo + len]);
             // The stats counters are world-global: reset on one rank only,
             // fenced by barriers so no plan/SpMV traffic is in flight.
-            eng.comm().barrier();
+            eng.comm().barrier().unwrap();
             if eng.comm().rank() == 0 {
                 eng.comm().stats().reset();
             }
-            eng.comm().barrier();
-            eng.spmv(KernelMode::VectorNoOverlap);
-            eng.comm().barrier();
+            eng.comm().barrier().unwrap();
+            eng.spmv_checked(KernelMode::VectorNoOverlap).unwrap();
+            eng.comm().barrier().unwrap();
             eng.comm().stats().messages()
         });
         msgs[0]

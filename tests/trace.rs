@@ -72,7 +72,7 @@ fn traced_sweeps_with(
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode).unwrap();
         }
         let trace = eng.take_trace().expect("tracing enabled");
         (trace, eng.y_local().to_vec())
@@ -92,7 +92,7 @@ fn untraced_sweeps(m: &CsrMatrix, mode: KernelMode, iters: usize) -> Vec<Vec<f64
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode).unwrap();
         }
         assert!(eng.trace_sink().is_none(), "recorder must not exist");
         eng.y_local().to_vec()
@@ -267,7 +267,7 @@ fn engine_follows_the_mode_step_table() {
         let compute_lanes = cfg.compute_threads;
         let per_rank = run_spmd_on_world(world, &m, &partition, cfg, |eng| {
             eng.x_local_mut().fill(1.0);
-            eng.spmv(mode);
+            eng.spmv_checked(mode).unwrap();
             let sched = eng.schedule();
             let empty = [
                 (Step::PostRecvs, sched.pre().is_empty()),
