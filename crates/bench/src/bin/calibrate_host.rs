@@ -1,8 +1,9 @@
 //! The paper's §2 methodology executed on *this* machine: measure STREAM
-//! triad scaling, measure multithreaded CRS SpMV scaling, fit the
-//! saturation model, predict SpMV from STREAM via the code balance, and
-//! extract the implied κ — exactly the analysis behind Fig. 3 and Table A,
-//! on real hardware instead of the modeled 2011 nodes.
+//! triad scaling, measure multithreaded CRS SpMV scaling (a one-rank
+//! hybrid `RankEngine`), fit the saturation model, predict SpMV from
+//! STREAM via the code balance, and extract the implied κ — exactly the
+//! analysis behind Fig. 3 and Table A, on real hardware instead of the
+//! modeled 2011 nodes.
 //!
 //! `cargo run --release -p spmv-bench --bin calibrate_host [--scale ...]`
 //!
@@ -12,11 +13,31 @@
 //! inverse of the paper's procedure, clearly labeled.
 
 use spmv_bench::{header, hmep, or_usage, Scale};
-use spmv_core::node::measure_spmv_gflops;
+use spmv_core::{run_spmd, EngineConfig, KernelMode};
 use spmv_machine::SaturationCurve;
+use spmv_matrix::CsrMatrix;
 use spmv_model::{code_balance_crs, kappa_from_measurement, predicted_gflops};
 use spmv_smp::stream::run_stream;
 use spmv_smp::ThreadTeam;
+
+/// Node-level SpMV performance in GFlop/s with `threads` threads: the
+/// best of `reps` timed calls on a one-rank hybrid engine in vector mode
+/// without overlap (Fig. 3's kernel), after one warm-up call that also
+/// faults in the data.
+fn spmv_gflops(m: &CsrMatrix, threads: usize, reps: usize) -> f64 {
+    let best = run_spmd(m, 1, EngineConfig::hybrid(threads), |eng| {
+        eng.x_local_mut().fill(1.0);
+        let mut time = || {
+            let t0 = std::time::Instant::now();
+            eng.spmv_checked(KernelMode::VectorNoOverlap)
+                .expect("a one-rank world has no peer to fail");
+            t0.elapsed().as_secs_f64()
+        };
+        time();
+        (0..reps).map(|_| time()).fold(f64::INFINITY, f64::min)
+    });
+    2.0 * m.nnz() as f64 / best[0] / 1e9
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -60,7 +81,7 @@ fn main() {
     for &threads in &thread_counts {
         let team = ThreadTeam::new(threads);
         let stream = run_stream(&team, stream_len, 3);
-        let gf = measure_spmv_gflops(&team, &m, 3);
+        let gf = spmv_gflops(&m, threads, 3);
         // the paper's §2 relation: SpMV draws ≈85 % of STREAM; at κ = 0 the
         // prediction from STREAM is an upper bound
         let b0 = code_balance_crs(nnzr, 0.0);

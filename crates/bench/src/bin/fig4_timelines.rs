@@ -7,6 +7,7 @@
 use spmv_bench::{header, hmep, or_usage, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
+use spmv_obs::{ascii_timeline, Phase};
 use spmv_sim::{simulate_spmv, SimConfig};
 
 fn main() {
@@ -44,13 +45,15 @@ fn main() {
             r.gflops,
             r.time_s * 1e6
         );
-        print!("{}", trace.render_rank_ascii(0, width));
+        print!("{}", ascii_timeline(&trace, 0, width));
+        let compute: f64 = [Phase::SpmvLocal, Phase::SpmvNonlocal, Phase::SpmvFull]
+            .map(|p| trace.time_in(0, p))
+            .iter()
+            .sum();
         println!(
             "rank 0 time in waitall: {:.1} µs, in compute: {:.1} µs",
-            // exact: "waitall" is one phase; "spmv" deliberately aggregates
-            // the whole spmv(...) family via the substring query
-            trace.time_in_exact(0, "waitall") * 1e6,
-            trace.time_in(0, "spmv") * 1e6
+            trace.time_in(0, Phase::Waitall) * 1e6,
+            compute * 1e6
         );
     }
 

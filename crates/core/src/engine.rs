@@ -11,18 +11,19 @@
 //! ## Threading
 //!
 //! With `compute_threads = C` and an optional dedicated communication
-//! thread, the engine owns a persistent [`ThreadTeam`]. Every mode runs
-//! through one executor that walks the mode's step table
-//! ([`KernelMode::lanes`]):
+//! thread, the engine owns a persistent [`ThreadTeam`] (a team of one runs
+//! on the calling thread). Every SpMV runs the mode's step table
+//! ([`KernelMode::lanes`]) as one team region, the shape of an OpenMP
+//! parallel region:
 //!
-//! * vector modes (one lane) use the team's threads for gather and compute
-//!   regions, with all communication issued between regions by the calling
-//!   thread — the "vector mode" structure where communication never
-//!   overlaps computation;
-//! * task mode (two lanes) runs one team region for the whole kernel:
-//!   thread 0 walks the comm lane and executes MPI calls only, threads
-//!   `1..=C` walk the compute lane, synchronized by two explicit barriers
-//!   exactly as in Fig. 4c.
+//! * thread 0 issues every MPI call;
+//! * the last `C` threads are the compute threads, each gathering and
+//!   multiplying its own chunk;
+//! * vector modes (one lane) are walked by the whole team, which meets at a
+//!   barrier after every step, so communication never overlaps computation;
+//! * task mode (two lanes) gives thread 0, the comm thread, the comm lane
+//!   and threads `1..=C` the compute lane, synchronized by two explicit
+//!   barriers exactly as in Fig. 4c.
 //!
 //! Work distribution is explicit — contiguous, nonzero-balanced row chunks
 //! per compute thread — because "the standard OpenMP loop worksharing
@@ -39,7 +40,7 @@ use crate::split::SplitMatrix;
 use spmv_comm::{Comm, CommError, CommStats};
 use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
-use spmv_obs::{Phase, RankTrace, TraceSink};
+use spmv_obs::{RankTrace, TraceSink};
 use spmv_smp::workshare::balanced_chunks;
 use spmv_smp::{TeamCtx, ThreadTeam};
 use std::ops::Range;
@@ -141,7 +142,8 @@ pub struct EngineConfig {
     /// Number of compute threads (`>= 1`).
     pub compute_threads: usize,
     /// Whether to provision a dedicated communication thread (required for
-    /// [`KernelMode::TaskMode`]).
+    /// [`KernelMode::TaskMode`]; in vector modes it issues the comm steps
+    /// and computes nothing).
     pub comm_thread: bool,
     /// Node-level kernel run by all modes (see [`crate::kernels`]). The
     /// engine prepares one kernel per split matrix (full / local /
@@ -201,8 +203,8 @@ impl EngineConfig {
     }
 
     /// Hybrid rank with `c` compute threads plus a communication thread
-    /// (task mode capable; also runs vector modes, leaving the comm thread
-    /// idle there).
+    /// (task mode capable; also runs vector modes, where the comm thread
+    /// issues the comm steps between the compute steps).
     pub fn task_mode(c: usize) -> Self {
         Self {
             compute_threads: c,
@@ -260,22 +262,13 @@ impl MutPtr {
     }
 }
 
-/// Timestamp for a phase about to run — free when tracing is off (the
-/// clock is only read when a recorder exists).
+/// Trace-clock timestamp (nonnegative), free when tracing is off: the
+/// clock is only read when a recorder exists.
 #[inline]
 fn tnow(trace: Option<&TraceSink>) -> f64 {
     match trace {
         Some(ts) => ts.now(),
         None => 0.0,
-    }
-}
-
-/// Closes a span opened at `t0` (via [`tnow`]) and records it; a no-op
-/// without a recorder.
-#[inline]
-fn rec(trace: Option<&TraceSink>, lane: usize, phase: Phase, t0: f64, bytes: u64, nnz: u64) {
-    if let Some(ts) = trace {
-        ts.record(lane, phase, t0, ts.now(), bytes, nnz);
     }
 }
 
@@ -291,7 +284,7 @@ pub struct RankEngine {
     plan: RankPlan,
     mats: SplitMatrix,
     cfg: EngineConfig,
-    team: Option<ThreadTeam>,
+    team: ThreadTeam,
     // buffers
     x_ext: Vec<f64>,
     y: Vec<f64>,
@@ -378,12 +371,7 @@ impl RankEngine {
         };
         let gather_prog = GatherProgram::compile(&schedule.gather);
 
-        let team_size = cfg.compute_threads + usize::from(cfg.comm_thread);
-        let team = if team_size > 1 {
-            Some(ThreadTeam::new(team_size))
-        } else {
-            None
-        };
+        let team = ThreadTeam::new(cfg.compute_threads + usize::from(cfg.comm_thread));
 
         // Prepare one kernel per split matrix. Autotune resolves on the
         // full matrix (the representative workload); the winning kind is
@@ -620,21 +608,23 @@ impl RankEngine {
         self.run_table(KernelMode::VectorNoOverlap.lanes(), false)
     }
 
-    /// The step-table executor: runs a mode's [`KernelMode::lanes`], its
-    /// kernel steps only when `kernels` is set.
+    /// The step-table executor: runs a mode's [`KernelMode::lanes`] as one
+    /// team region, its kernel steps only when `kernels` is set.
     ///
-    /// * A one-lane (vector-mode) table runs on the calling thread, which
-    ///   issues the comm steps itself and opens one team region per gather
-    ///   or kernel step, so communication never overlaps computation.
-    /// * A two-lane (task-mode) table runs as one team region: thread 0
-    ///   walks the comm lane, threads `1..=C` the compute lane, and each
-    ///   `Sync` step is a team barrier (B1 / B2 of Fig. 4c).
+    /// Thread `tid` walks lane `lanes[min(tid, lanes.len() - 1)]`:
+    /// exchange steps run on thread 0, gather and kernel steps on each
+    /// compute thread's own chunk, and each `Sync` step is a team barrier
+    /// (B1 / B2 of Fig. 4c). When the whole team walks one lane (vector
+    /// modes), the team also meets after every step, as after an OpenMP
+    /// worksharing loop, so communication never overlaps computation; an
+    /// exchange stage with no ops is skipped by every thread, its barrier
+    /// included.
     ///
     /// Exchange steps run their [`HaloSchedule`] stage through one
-    /// [`Exchange`], which the `Wait` step drops. Gather and kernel steps
-    /// run over the per-thread chunks. After a communication fault a lane
-    /// runs only its `Sync` steps, so the other lane never deadlocks; the
-    /// first error is returned once every lane is done.
+    /// [`Exchange`], which the `Wait` step drops. After a communication
+    /// fault a thread does no more work but still meets every barrier, so
+    /// the team never deadlocks; the first error is returned once the
+    /// region ends.
     fn run_table(&mut self, lanes: Lanes, kernels: bool) -> Result<(), CommError> {
         let x_ext = MutPtr(self.x_ext.as_mut_ptr());
         let send = MutPtr(self.send_buf.as_mut_ptr());
@@ -647,45 +637,31 @@ impl RankEngine {
             scratch,
             y,
         };
-        let steps = |lane: &'static [Step]| {
-            lane.iter()
-                .copied()
-                .filter(move |s| kernels || !matches!(s, Step::Kernel(_)))
-        };
-        match lanes {
-            [lane] => env.walk(steps(lane), None),
-            [comm_lane, compute_lane] => {
-                let team = (self.team.as_ref()).expect("a two-lane mode runs on a thread team");
-                debug_assert_eq!(team.size(), self.cfg.compute_threads + 1);
-                let first_err: Mutex<Option<CommError>> = Mutex::new(None);
-                team.run(|ctx| {
-                    let lane = if ctx.tid == 0 {
-                        comm_lane
-                    } else {
-                        compute_lane
-                    };
-                    if let Err(e) = env.walk(steps(lane), Some(&ctx)) {
-                        first_err
-                            .lock()
-                            .expect("mutex poisoned: a peer thread panicked")
-                            .get_or_insert(e);
-                    }
-                });
+        let first_err: Mutex<Option<CommError>> = Mutex::new(None);
+        self.team.run(|ctx| {
+            let lane = lanes[ctx.tid.min(lanes.len() - 1)];
+            let steps = lane
+                .iter()
+                .filter(|s| kernels || !matches!(s, Step::Kernel(_)));
+            if let Err(e) = env.walk(steps, lanes.len() == 1, &ctx) {
                 first_err
-                    .into_inner()
+                    .lock()
                     .expect("mutex poisoned: a peer thread panicked")
-                    .map_or(Ok(()), Err)
+                    .get_or_insert(e);
             }
-            _ => unreachable!("a kernel mode has one or two lanes"),
-        }
+        });
+        first_err
+            .into_inner()
+            .expect("mutex poisoned: a peer thread panicked")
+            .map_or(Ok(()), Err)
     }
 }
 
-/// One SpMV's view of a [`RankEngine`], shared by every thread that walks
-/// a lane of the step table: the engine's read-only state, and raw views
-/// of the buffers the steps hand from thread to thread (`x_ext`, the send
-/// buffer, the leader scratch and `y`), which are written only through
-/// these pointers while the table runs.
+/// One SpMV's view of a [`RankEngine`], shared by every thread of the
+/// team region: the engine's read-only state, and raw views of the buffers
+/// the steps hand from thread to thread (`x_ext`, the send buffer, the
+/// leader scratch and `y`), which are written only through these pointers
+/// while the table runs.
 struct StepEnv<'e> {
     eng: &'e RankEngine,
     x_ext: MutPtr,
@@ -695,21 +671,23 @@ struct StepEnv<'e> {
 }
 
 impl StepEnv<'_> {
-    /// Walks one lane. `member` is the team context of a thread inside a
-    /// two-lane table's region; `None` is the calling thread of a one-lane
-    /// table. Comm spans go to trace lane 0 (the comm thread's) and compute
-    /// spans to the compute thread's lane, 1 for the calling thread's
-    /// whole-team regions.
+    /// Walks one lane as team thread `ctx`; `meet` when the whole team
+    /// walks this lane. The compute threads are the team's last
+    /// `compute_threads` ids, so a dedicated comm thread never computes.
+    /// Each thread records its own spans: comm steps on trace lane 0,
+    /// compute thread `c` on lane `1 + c`. A step's span ends once the
+    /// team has met after it.
     ///
     /// The unsafe views below rely on the table's ordering, which
-    /// `modes::tests` checks and the explorer proves on model worlds: the
-    /// gather completes before the `Send` step, and every kernel that
-    /// reads the halo starts after the `Wait` step has completed and
-    /// dropped the exchange.
-    fn walk(
+    /// `modes::tests` checks and the explorer proves on model worlds: a
+    /// barrier separates the gather from the `Send` step, and every kernel
+    /// that reads the halo starts after a barrier that follows the
+    /// completed `Wait` step, which dropped the exchange.
+    fn walk<'s>(
         &self,
-        steps: impl Iterator<Item = Step>,
-        member: Option<&TeamCtx<'_>>,
+        steps: impl Iterator<Item = &'s Step>,
+        meet: bool,
+        ctx: &TeamCtx<'_>,
     ) -> Result<(), CommError> {
         let eng = self.eng;
         let (trace, sched) = (eng.trace.as_deref(), &eng.schedule);
@@ -717,78 +695,76 @@ impl StepEnv<'_> {
         let halo_len = eng.x_ext.len() - nloc;
         let send_len = eng.send_buf.len();
         let (halo_bytes, send_bytes) = ((halo_len * 8) as u64, (send_len * 8) as u64);
+        let ctid = (ctx.tid + eng.cfg.compute_threads).checked_sub(ctx.size);
         let mut ex: Option<Exchange<'_, '_>> = None;
         let mut res = Ok(());
-        for step in steps {
-            if res.is_err() && !matches!(step, Step::Sync(_)) {
-                continue;
-            }
-            match step {
+        for &step in steps {
+            let t = tnow(trace);
+            // the span this thread records: (trace lane, bytes, nnz)
+            let span = match step {
                 Step::PostRecvs | Step::Send | Step::Wait => {
                     let (ops, bytes) = match step {
                         Step::PostRecvs => (sched.pre(), halo_bytes),
                         Step::Send => (sched.begin(), send_bytes),
                         _ => (sched.finish(), halo_bytes),
                     };
-                    // posted receives never read the send buffer, which
-                    // the gather may still be writing
-                    let send: &[f64] = if step == Step::PostRecvs {
-                        &[]
-                    } else {
-                        // SAFETY: the gather completed before the sends
-                        // (see above) and no step writes the send buffer
-                        // again this SpMV, so a shared view is sound.
-                        unsafe { std::slice::from_raw_parts(self.send.raw(), send_len) }
-                    };
-                    let run = ex.get_or_insert_with(|| {
-                        // SAFETY: only the lane holding the comm steps
-                        // touches the halo and the scratch until its Wait
-                        // drops the exchange; the kernels before that read
-                        // the local part only.
-                        let (halo, scratch) = unsafe {
-                            (
-                                std::slice::from_raw_parts_mut(
-                                    self.x_ext.raw().add(nloc),
-                                    halo_len,
-                                ),
-                                std::slice::from_raw_parts_mut(
-                                    self.scratch.raw(),
-                                    eng.scratch.len(),
-                                ),
-                            )
+                    if ops.is_empty() {
+                        continue;
+                    }
+                    (ctx.tid == 0 && res.is_ok()).then(|| {
+                        // posted receives never read the send buffer,
+                        // which the gather may still be writing
+                        let send: &[f64] = if step == Step::PostRecvs {
+                            &[]
+                        } else {
+                            // SAFETY: the gather completed before the
+                            // sends (see above) and no step writes the
+                            // send buffer again this SpMV, so a shared
+                            // view is sound.
+                            unsafe { std::slice::from_raw_parts(self.send.raw(), send_len) }
                         };
-                        Exchange::new(sched, &eng.comm, halo, scratch)
-                    });
-                    if !ops.is_empty() {
-                        let (t, lane) = (tnow(trace), member.map_or(0, |ctx| ctx.tid));
+                        let run = ex.get_or_insert_with(|| {
+                            // SAFETY: only thread 0 touches the halo and
+                            // the scratch until its Wait drops the
+                            // exchange; the kernels before that read the
+                            // local part only.
+                            let (halo, scratch) = unsafe {
+                                (
+                                    std::slice::from_raw_parts_mut(
+                                        self.x_ext.raw().add(nloc),
+                                        halo_len,
+                                    ),
+                                    std::slice::from_raw_parts_mut(
+                                        self.scratch.raw(),
+                                        eng.scratch.len(),
+                                    ),
+                                )
+                            };
+                            Exchange::new(sched, &eng.comm, halo, scratch)
+                        });
                         res = run.run(ops, send);
-                        rec(trace, lane, step.phase(), t, bytes, 0);
-                    }
-                    if res.is_err() || step == Step::Wait {
-                        // settle every request (or cancel them after a
-                        // fault) before the halo is handed to the kernels
-                        ex = None;
-                    }
+                        if res.is_err() || step == Step::Wait {
+                            // settle every request (or cancel them after a
+                            // fault) before the halo is handed to the kernels
+                            ex = None;
+                        }
+                        (0, bytes, 0)
+                    })
                 }
-                Step::Gather => {
-                    let t = tnow(trace);
+                Step::Gather => ctid.filter(|_| res.is_ok()).map(|c| {
+                    let runs = eng.gather_chunks[c].clone();
                     // SAFETY: the local part of x_ext is never written
-                    // during an SpMV.
-                    let x_loc = unsafe { std::slice::from_raw_parts(self.x_ext.raw(), nloc) };
-                    let (lane, _) = self.on_compute_threads(member, |ctid| {
-                        let runs = eng.gather_chunks[ctid].clone();
-                        // SAFETY: gather_chunks partition the run set, so
-                        // each compute thread writes a disjoint slice of
-                        // the send buffer.
-                        unsafe {
-                            eng.gather_prog
-                                .execute_runs_raw(runs, x_loc, self.send.raw())
-                        };
-                    });
-                    let bytes = member.map_or(send_bytes, |_| 0);
-                    rec(trace, lane, step.phase(), t, bytes, 0);
-                }
-                Step::Kernel(part) => {
+                    // during an SpMV, and gather_chunks partition the run
+                    // set, so each compute thread writes a disjoint slice
+                    // of the send buffer.
+                    unsafe {
+                        let x_loc = std::slice::from_raw_parts(self.x_ext.raw(), nloc);
+                        eng.gather_prog
+                            .execute_runs_raw(runs.clone(), x_loc, self.send.raw());
+                    }
+                    (1 + c, (eng.gather_prog.run_elems(runs) * 8) as u64, 0)
+                }),
+                Step::Kernel(part) => ctid.filter(|_| res.is_ok()).map(|c| {
                     let (kern, mat, chunks) = match part {
                         Part::Full => (&eng.kern_full, &eng.mats.full, &eng.full_chunks),
                         Part::Local => (&eng.kern_local, &eng.mats.local, &eng.local_chunks),
@@ -801,61 +777,33 @@ impl StepEnv<'_> {
                         Part::Local => (0..nloc, false),
                         Part::Nonlocal => (nloc..nloc + halo_len, true),
                     };
-                    let t = tnow(trace);
+                    let rows = chunks[c].clone();
+                    let nnz = chunk_nnz(mat, &rows);
                     // SAFETY: a kernel reading the halo runs after the Wait
-                    // (see above), so nothing writes its x range now.
-                    let x = unsafe {
-                        std::slice::from_raw_parts(self.x_ext.raw().add(xs.start), xs.len())
-                    };
-                    let (lane, ctids) = self.on_compute_threads(member, |ctid| {
-                        let rows = chunks[ctid].clone();
-                        // SAFETY: chunks are disjoint row ranges of y.
-                        unsafe { kern.spmv_rows_raw(mat, rows, x, self.y.raw(), accumulate) };
-                    });
-                    let rows = chunks[ctids.start].start..chunks[ctids.end - 1].end;
-                    rec(trace, lane, step.phase(), t, 0, chunk_nnz(mat, &rows));
-                }
-                Step::Sync(_) => {
-                    // a one-lane table has no other lane to meet
-                    if let Some(ctx) = member {
-                        let t = tnow(trace);
-                        ctx.barrier();
-                        rec(trace, ctx.tid, step.phase(), t, 0, 0);
+                    // (see above), so nothing writes its x range now, and
+                    // the chunks are disjoint row ranges of y.
+                    unsafe {
+                        let x =
+                            std::slice::from_raw_parts(self.x_ext.raw().add(xs.start), xs.len());
+                        kern.spmv_rows_raw(mat, rows, x, self.y.raw(), accumulate);
                     }
-                }
+                    (1 + c, 0, nnz)
+                }),
+                Step::Sync(_) => Some((ctid.map_or(0, |c| 1 + c), 0, 0)),
+            };
+            let t1 = if meet || matches!(step, Step::Sync(_)) {
+                // the moment the team met: its latest arrival (nonnegative
+                // f64s order like their bits), the same end for every
+                // thread, so no span reaches into the next step
+                f64::from_bits(ctx.barrier_max(tnow(trace).to_bits()))
+            } else {
+                tnow(trace)
+            };
+            if let (Some(ts), Some((lane, bytes, nnz))) = (trace, span) {
+                ts.record(lane, step.phase(), t, t1, bytes, nnz);
             }
         }
         res
-    }
-
-    /// Runs `f(ctid)` for the compute threads a walker stands for and
-    /// returns their trace lane and chunk indices: a team member runs its
-    /// own chunk; the calling thread runs every chunk in one team region
-    /// (inline without a team; an idle comm thread skips the region).
-    fn on_compute_threads(
-        &self,
-        member: Option<&TeamCtx<'_>>,
-        f: impl Fn(usize) + std::marker::Sync,
-    ) -> (usize, Range<usize>) {
-        let c = self.eng.cfg.compute_threads;
-        match (member, &self.eng.team) {
-            (Some(ctx), _) => {
-                f(ctx.tid - 1);
-                (ctx.tid, ctx.tid - 1..ctx.tid)
-            }
-            (None, Some(team)) => {
-                team.run(|ctx| {
-                    if ctx.tid < c {
-                        f(ctx.tid);
-                    }
-                });
-                (1, 0..c)
-            }
-            (None, None) => {
-                f(0);
-                (1, 0..1)
-            }
-        }
     }
 }
 
@@ -959,10 +907,29 @@ mod tests {
         check_all_modes(m, 4, EngineConfig::task_mode(2));
     }
 
+    /// One rank: every mode on a task-mode team, and the vector modes on
+    /// hybrid teams of 1, 2, 3 and 5 threads. Without overlap, a one-rank
+    /// hybrid engine is the node-level SpMV of Fig. 3: bit for bit the
+    /// serial CSR product, for every right-hand side it is handed.
     #[test]
     fn single_rank_all_modes() {
         let m = synthetic::random_general(150, 150, 8, 4);
-        check_all_modes(m, 1, EngineConfig::task_mode(3));
+        check_all_modes(m.clone(), 1, EngineConfig::task_mode(3));
+        for threads in [1, 2, 3, 5] {
+            let cfg = EngineConfig::hybrid(threads);
+            check_all_modes(m.clone(), 1, cfg);
+            crate::runner::run_spmd(&m, 1, cfg, |eng| {
+                for seed in 0..3 {
+                    let x = vecops::random_vec(150, seed);
+                    let mut y_ref = vec![0.0; 150];
+                    m.spmv(&x, &mut y_ref);
+                    eng.x_local_mut().copy_from_slice(&x);
+                    eng.spmv_checked(KernelMode::VectorNoOverlap).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(eng.y_local()), bits(&y_ref), "{threads} threads");
+                }
+            });
+        }
     }
 
     #[test]

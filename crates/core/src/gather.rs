@@ -90,6 +90,11 @@ impl GatherProgram {
         balanced_chunks(&self.run_prefix, parts)
     }
 
+    /// Elements the runs `run_range` move.
+    pub fn run_elems(&self, run_range: Range<usize>) -> usize {
+        self.run_prefix[run_range.end] - self.run_prefix[run_range.start]
+    }
+
     /// Executes a subrange of runs through a raw destination pointer.
     ///
     /// # Safety

@@ -27,6 +27,9 @@
 //!    * **vector mode, naive overlap** via nonblocking calls (Fig. 4b),
 //!    * **task mode, explicit overlap** via a dedicated communication
 //!      thread (Fig. 4c).
+//!
+//!    Each SpMV is one thread-team region. On one rank, a hybrid engine in
+//!    vector mode without overlap is the node-level SpMV of Fig. 3.
 //! 6. [`runner`] — spawns one OS thread per MPI rank and drives whole jobs
 //!    (the harness tests and examples use this).
 //! 7. [`workload::RankWorkload`] — the per-rank compute/communication
@@ -36,7 +39,6 @@ pub mod engine;
 pub mod gather;
 pub mod kernels;
 pub mod modes;
-pub mod node;
 pub mod partition;
 pub mod plan;
 pub mod runner;

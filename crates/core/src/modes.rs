@@ -65,7 +65,7 @@ use Part::{Full, Local, Nonlocal};
 use Step::{Gather, Kernel, PostRecvs, Send, Sync, Wait};
 
 /// A mode's lanes: each lane is a step list run in order by one thread
-/// (or the whole compute team).
+/// (or, in a one-lane table, by the whole team).
 pub type Lanes = &'static [&'static [Step]];
 
 /// Fig. 4a: exchange to completion, then one full kernel.
@@ -128,9 +128,11 @@ impl KernelMode {
         }
     }
 
-    /// The mode's step table. Vector modes have one lane, run by the
-    /// calling thread. Task mode has two: `lanes()[0]` is the dedicated
-    /// comm thread's, `lanes()[1]` the compute threads'.
+    /// The mode's step table. Vector modes have one lane, walked by the
+    /// whole thread team: thread 0 issues the comm steps, the compute
+    /// threads run the gather and kernel steps, and the team meets after
+    /// every step. Task mode has two: `lanes()[0]` is the dedicated comm
+    /// thread's, `lanes()[1]` the compute threads'.
     pub fn lanes(&self) -> Lanes {
         match self {
             KernelMode::VectorNoOverlap => NO_OVERLAP,

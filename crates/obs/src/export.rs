@@ -1,5 +1,6 @@
-//! Exporters: chrome://tracing JSON, plain-text per-rank timelines, a
-//! JSON metrics summary, and a dependency-free JSON syntax validator.
+//! Exporters: chrome://tracing JSON, plain-text and ASCII-art per-rank
+//! timelines, a JSON metrics summary, and a dependency-free JSON syntax
+//! validator.
 //!
 //! The chrome export uses the Trace Event Format's complete-event form
 //! (`"ph": "X"`): one object per span with microsecond `ts`/`dur`,
@@ -12,6 +13,7 @@
 //! trace tests) to prove an exported file *parses*, without serde.
 
 use crate::metrics::TraceMetrics;
+use crate::phase::Phase;
 use crate::recorder::SpanEvent;
 use crate::trace::{RunTrace, FAULT_LANE};
 use std::fmt::Write as _;
@@ -89,6 +91,63 @@ pub fn text_timeline(trace: &RunTrace) -> String {
         let _ = writeln!(out, "({} spans lost to ring overflow)", trace.dropped);
     }
     out
+}
+
+/// Renders an ASCII timeline of one rank (one row per lane), `width`
+/// characters across the rank's makespan: the Fig. 4 schematic, drawn
+/// from simulated or measured spans alike.
+#[must_use]
+pub fn ascii_timeline(trace: &RunTrace, rank: usize, width: usize) -> String {
+    let mut ev: Vec<&SpanEvent> = trace.rank_events(rank).collect();
+    if ev.is_empty() {
+        return String::from("(no events)\n");
+    }
+    ev.sort_by(|a, b| a.t0.total_cmp(&b.t0));
+    let t_end = ev.iter().map(|e| e.t1).fold(0.0, f64::max);
+    let t_scale = if t_end > 0.0 {
+        width as f64 / t_end
+    } else {
+        0.0
+    };
+    let lanes: usize = ev.iter().map(|e| e.lane).max().unwrap_or(0) + 1;
+    let mut rows = vec![vec![b' '; width]; lanes];
+    for e in &ev {
+        let c = symbol_for(e.phase);
+        let a = (e.t0 * t_scale).floor() as usize;
+        let b = ((e.t1 * t_scale).ceil() as usize).clamp(a + 1, width);
+        for cell in &mut rows[e.lane][a.min(width - 1)..b] {
+            *cell = c;
+        }
+    }
+    let mut out = String::new();
+    for (li, row) in rows.iter().enumerate() {
+        let name = if lanes == 2 && li == 0 {
+            "comm   "
+        } else {
+            "compute"
+        };
+        let _ = writeln!(
+            out,
+            "rank {rank} {name} |{}|",
+            std::str::from_utf8(row).expect("ascii")
+        );
+    }
+    out.push_str("legend: g=gather s=send r=post-recvs w=waitall L=spmv(local) N=spmv(nonlocal) F=spmv(full) b=barrier\n");
+    out
+}
+
+fn symbol_for(phase: Phase) -> u8 {
+    match phase {
+        Phase::Gather => b'g',
+        Phase::Send => b's',
+        Phase::PostRecvs => b'r',
+        Phase::Waitall => b'w',
+        Phase::SpmvLocal => b'L',
+        Phase::SpmvNonlocal => b'N',
+        Phase::SpmvFull => b'F',
+        Phase::Barrier => b'b',
+        _ => b'?',
+    }
 }
 
 /// Renders the metrics summary as JSON (consumed by the bench harness).
@@ -307,7 +366,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::Phase;
     use crate::trace::RankTrace;
 
     fn sample() -> RunTrace {
@@ -374,6 +432,47 @@ mod tests {
         assert!(txt.contains("fault(delay)"));
         assert!(txt.contains("lane fault"));
         assert!(txt.contains("ring overflow"));
+    }
+
+    /// A task-mode shaped rank: comm lane 0, compute lane 1.
+    fn two_lane_sample() -> RunTrace {
+        let span = |lane, phase, t0, t1| SpanEvent {
+            phase,
+            rank: 0,
+            lane,
+            t0,
+            t1,
+            bytes: 0,
+            nnz: 0,
+        };
+        RunTrace {
+            events: vec![
+                span(0, Phase::PostRecvs, 0.0, 0.1),
+                span(0, Phase::Waitall, 0.1, 0.9),
+                span(1, Phase::Gather, 0.0, 0.2),
+                span(1, Phase::SpmvLocal, 0.2, 0.8),
+                span(1, Phase::SpmvNonlocal, 0.9, 1.0),
+            ],
+            dropped: 0,
+        }
+    }
+
+    #[test]
+    fn ascii_render_has_two_lanes_and_legend() {
+        let art = ascii_timeline(&two_lane_sample(), 0, 40);
+        let lines: Vec<&str> = art.lines().collect();
+        assert_eq!(lines.len(), 3, "two lanes + legend");
+        assert!(lines[0].contains("comm"));
+        assert!(lines[1].contains("compute"));
+        assert!(lines[0].contains('w'));
+        assert!(lines[1].contains('L'));
+        assert!(lines[2].starts_with("legend"));
+    }
+
+    #[test]
+    fn empty_trace_renders_placeholder() {
+        assert_eq!(ascii_timeline(&two_lane_sample(), 7, 10), "(no events)\n");
+        assert_eq!(ascii_timeline(&RunTrace::default(), 0, 10), "(no events)\n");
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! * [`clock`] — one process-global monotonic epoch; because ranks are
 //!   threads of one process, a single `Instant` gives directly comparable
 //!   timestamps across every rank and lane.
-//! * [`Phase`] — the shared event vocabulary. Labels match
-//!   `spmv-sim::trace` exactly ("gather", "waitall", "spmv(local)", ...)
-//!   so simulated and measured timelines are directly comparable.
+//! * [`Phase`] — the shared event vocabulary ("gather", "waitall",
+//!   "spmv(local)", ...). The simulator records its timelines into the
+//!   same [`RunTrace`] type, so simulated and measured timelines are
+//!   directly comparable.
 //! * [`TraceSink`] / [`LaneRecorder`] — per-lane fixed-size ring buffers
 //!   of `{phase, rank, lane, t0, t1, bytes, nnz}` spans; one writer per
 //!   lane, so recording never contends.
@@ -30,7 +31,8 @@
 //!   overlap-efficiency score (hidden comm time ÷ total comm time), and
 //!   [`ModelDrift`] against an `spmv-model` prediction.
 //! * [`export`] — chrome://tracing JSON (`trace_events` format), a
-//!   plain-text per-rank timeline, a JSON metrics summary, and a
+//!   plain-text per-rank timeline, the ASCII Fig. 4 timeline, a JSON
+//!   metrics summary, and a
 //!   dependency-free JSON syntax validator used by the CI smoke job.
 
 pub mod clock;
@@ -40,7 +42,7 @@ pub mod phase;
 pub mod recorder;
 pub mod trace;
 
-pub use export::{chrome_trace_json, metrics_json, text_timeline, validate_json};
+pub use export::{ascii_timeline, chrome_trace_json, metrics_json, text_timeline, validate_json};
 pub use metrics::{DriftVerdict, ModelDrift, RankMetrics, TraceMetrics};
 pub use phase::Phase;
 pub use recorder::{LaneRecorder, SpanEvent, TraceSink, DEFAULT_RING_CAPACITY};

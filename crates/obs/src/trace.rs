@@ -254,6 +254,53 @@ mod tests {
         assert!(t.mean_overlap_efficiency() > 0.9);
     }
 
+    /// Rank 0 in task-mode shape (comm lane 0, compute lane 1) and one
+    /// span of rank 1, handed over out of time order.
+    fn two_lane_sample() -> RunTrace {
+        RunTrace::from_ranks([
+            RankTrace {
+                rank: 1,
+                events: vec![span(1, 0, Phase::Waitall, 0.0, 0.5)],
+                dropped: 0,
+            },
+            RankTrace {
+                rank: 0,
+                events: vec![
+                    span(0, 1, Phase::SpmvNonlocal, 0.9, 1.0),
+                    span(0, 0, Phase::PostRecvs, 0.0, 0.1),
+                    span(0, 0, Phase::Waitall, 0.1, 0.9),
+                    span(0, 1, Phase::Gather, 0.0, 0.2),
+                    span(0, 1, Phase::SpmvLocal, 0.2, 0.8),
+                ],
+                dropped: 0,
+            },
+        ])
+    }
+
+    #[test]
+    fn rank_events_filters_and_sorts() {
+        let t = two_lane_sample();
+        let ev: Vec<_> = t.rank_events(0).collect();
+        assert_eq!(ev.len(), 5);
+        assert!(ev.windows(2).all(|w| w[0].t0 <= w[1].t0));
+        assert_eq!(t.rank_events(1).count(), 1);
+        assert_eq!(t.rank_events(7).count(), 0);
+    }
+
+    #[test]
+    fn time_in_sums_matching_segments() {
+        let t = two_lane_sample();
+        assert!((t.time_in(0, Phase::Waitall) - 0.8).abs() < 1e-12);
+        assert!((t.time_in(1, Phase::Waitall) - 0.5).abs() < 1e-12);
+        assert_eq!(t.time_in(1, Phase::Gather), 0.0);
+        // the compute family sums phase by phase, lanes included
+        let compute: f64 = [Phase::SpmvLocal, Phase::SpmvNonlocal, Phase::SpmvFull]
+            .map(|p| t.time_in(0, p))
+            .iter()
+            .sum();
+        assert!((compute - 0.7).abs() < 1e-12);
+    }
+
     #[test]
     fn queries_and_makespan() {
         let t = RunTrace::from_ranks([

@@ -17,12 +17,11 @@
 //! elapses only while the progress rule allows the message to move.
 
 use crate::program::{build_program, gather_cost_bytes, op_inside_mpi, Op, SimConfig};
-use crate::trace::{Trace, TraceEvent};
 use spmv_core::RankWorkload;
 use spmv_machine::network::TorusLink;
 use spmv_machine::topology::ClusterSpec;
 use spmv_machine::LayoutPlan;
-use spmv_obs::Phase;
+use spmv_obs::{Phase, RunTrace, SpanEvent};
 use std::collections::HashMap;
 
 /// Result of one simulated SpMV.
@@ -38,8 +37,9 @@ pub struct SimResult {
     pub messages: usize,
     /// Total payload bytes moved between ranks.
     pub bytes_on_wire: f64,
-    /// Activity trace (present when `cfg.trace` was set).
-    pub trace: Option<Trace>,
+    /// Activity trace (present when `cfg.trace` was set): spans in
+    /// completion order, with no byte or nonzero annotations.
+    pub trace: Option<RunTrace>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -205,7 +205,7 @@ pub fn simulate_spmv(
     let mut rank_finish = vec![0.0f64; nranks];
     let mut lanes_done = 0usize;
     let mut trace = if cfg.trace {
-        Some(Trace::default())
+        Some(RunTrace::default())
     } else {
         None
     };
@@ -233,12 +233,14 @@ pub fn simulate_spmv(
             if let Some(t) = trace.as_mut() {
                 if let Some(phase) = $lane.seg_phase {
                     if now > $lane.seg_start {
-                        t.events.push(TraceEvent {
+                        t.events.push(SpanEvent {
+                            phase,
                             rank: $lane.rank,
                             lane: $lane.lane_idx,
-                            phase,
                             t0: $lane.seg_start,
                             t1: now,
+                            bytes: 0,
+                            nnz: 0,
                         });
                     }
                 }

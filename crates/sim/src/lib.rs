@@ -2,7 +2,9 @@
 //!
 //! A fluid-flow discrete-event simulator that *prices* one distributed SpMV
 //! on a modeled cluster, reproducing the strong-scaling figures of the
-//! paper (Figs. 5 and 6) without the paper's hardware.
+//! paper (Figs. 5 and 6) without the paper's hardware. With
+//! [`SimConfig::with_trace`] a run also records its timeline (Fig. 4) as
+//! an `spmv_obs::RunTrace`, the type the engine's measured traces use.
 //!
 //! ## What is real and what is modeled
 //!
@@ -36,11 +38,9 @@ pub mod iterative;
 pub mod program;
 pub mod progress;
 pub mod scaling;
-pub mod trace;
 
 pub use fluid::{simulate_spmv, SimResult};
 pub use iterative::{simulate_solver, SolverShape, SolverTime};
 pub use program::SimConfig;
 pub use progress::ProgressModel;
 pub use scaling::{simulate_job, strong_scaling, ScalingSeries};
-pub use trace::Trace;

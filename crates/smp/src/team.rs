@@ -2,13 +2,14 @@
 //!
 //! A [`ThreadTeam`] owns `size` worker threads that live for the lifetime of
 //! the team. [`ThreadTeam::run`] executes a closure on every worker (the
-//! parallel region) and returns when all of them have finished. Closures may
+//! parallel region) and returns when all of them have finished; a team of
+//! one has no worker and runs the region on the calling thread. Closures may
 //! borrow from the caller's stack: the call blocks until every worker is
 //! done, so the borrow cannot outlive the data (the same soundness argument
 //! as `std::thread::scope`, enforced here with an explicit completion
 //! count).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
@@ -22,6 +23,10 @@ pub struct SpinBarrier {
     size: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    /// Largest value passed to the meeting in progress.
+    max: AtomicU64,
+    /// `max` of the last completed meeting.
+    met: AtomicU64,
 }
 
 impl SpinBarrier {
@@ -32,16 +37,37 @@ impl SpinBarrier {
             size,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            max: AtomicU64::new(0),
+            met: AtomicU64::new(0),
         }
     }
 
-    /// Blocks until all `size` participants have called `wait`.
+    /// Blocks until all `size` participants have called `wait` (or
+    /// [`Self::wait_max`]).
     pub fn wait(&self) {
+        self.wait_max(0);
+    }
+
+    /// [`Self::wait`] that also reduces: every participant passes a value
+    /// and each returns the largest value passed to this meeting, such as
+    /// the latest arrival time (the moment the participants met).
+    pub fn wait_max(&self, v: u64) -> u64 {
+        if self.size == 1 {
+            return v;
+        }
         let gen = self.generation.load(Ordering::Acquire);
+        self.max.fetch_max(v, Ordering::AcqRel);
+        // the AcqRel count RMWs order every fetch_max before the last
+        // arrival's swap
         let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
         if arrived == self.size {
+            // reset before the release: the next meeting's values arrive
+            // only after it
+            let m = self.max.swap(0, Ordering::AcqRel);
+            self.met.store(m, Ordering::Relaxed);
             self.count.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
+            m
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
@@ -52,6 +78,9 @@ impl SpinBarrier {
                     std::thread::yield_now();
                 }
             }
+            // published by the generation Release / Acquire pair; the next
+            // meeting cannot overwrite it before this participant arrives
+            self.met.load(Ordering::Relaxed)
         }
     }
 
@@ -74,6 +103,12 @@ impl TeamCtx<'_> {
     /// Team-wide barrier (all `size` threads must call it).
     pub fn barrier(&self) {
         self.barrier.wait();
+    }
+
+    /// Team-wide barrier returning the largest `v` any thread passed (see
+    /// [`SpinBarrier::wait_max`]).
+    pub fn barrier_max(&self, v: u64) -> u64 {
+        self.barrier.wait_max(v)
     }
 }
 
@@ -124,7 +159,8 @@ pub struct ThreadTeam {
 }
 
 impl ThreadTeam {
-    /// Spawns a team of `size >= 1` workers.
+    /// Spawns a team of `size >= 1` workers; a team of one spawns none,
+    /// since its regions run on the calling thread.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "a team needs at least one thread");
         let shared = Arc::new(Shared {
@@ -133,9 +169,10 @@ impl ThreadTeam {
             done_cv: Condvar::new(),
             panicked: AtomicBool::new(false),
         });
-        let mut senders = Vec::with_capacity(size);
-        let mut handles = Vec::with_capacity(size);
-        for tid in 0..size {
+        let workers = if size > 1 { size } else { 0 };
+        let mut senders = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for tid in 0..workers {
             let (tx, rx): (Sender<Command>, Receiver<Command>) = std::sync::mpsc::channel();
             senders.push(tx);
             let shared = Arc::clone(&shared);
@@ -159,7 +196,8 @@ impl ThreadTeam {
     }
 
     /// Executes `region` on all workers, blocking until every worker has
-    /// returned. The closure receives a [`TeamCtx`] with its thread id.
+    /// returned. The closure receives a [`TeamCtx`] with its thread id. A
+    /// team of one calls `region` directly on the calling thread.
     ///
     /// # Panics
     /// Propagates (as a panic) if any worker panicked inside the region.
@@ -167,6 +205,13 @@ impl ThreadTeam {
     where
         F: Fn(TeamCtx<'_>) + Sync,
     {
+        if self.senders.is_empty() {
+            return region(TeamCtx {
+                tid: 0,
+                size: 1,
+                barrier: &self.shared.barrier,
+            });
+        }
         let wide: &(dyn Fn(TeamCtx<'_>) + Sync) = &region;
         // SAFETY: erasing the closure's lifetime is sound because this
         // function does not return until all workers signalled completion,
@@ -269,7 +314,6 @@ fn worker_loop(tid: usize, size: usize, rx: Receiver<Command>, shared: Arc<Share
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn all_threads_execute_region() {
@@ -370,11 +414,29 @@ mod tests {
     }
 
     #[test]
+    fn barrier_max_returns_the_meeting_maximum() {
+        let team = ThreadTeam::new(4);
+        let ok = AtomicBool::new(true);
+        team.run(|ctx| {
+            for round in 0..20u64 {
+                // the largest value comes from a different thread each round
+                let v = round * 10 + ((ctx.tid as u64 + round) % 4);
+                if ctx.barrier_max(v) != round * 10 + 3 {
+                    ok.store(false, Ordering::SeqCst);
+                }
+            }
+        });
+        assert!(ok.load(Ordering::SeqCst));
+    }
+
+    #[test]
     fn single_thread_team_works() {
         let team = ThreadTeam::new(1);
         let hits = AtomicUsize::new(0);
+        let caller = std::thread::current().id();
         team.run(|ctx| {
             assert_eq!(ctx.tid, 0);
+            assert_eq!(std::thread::current().id(), caller, "ran off the caller");
             ctx.barrier(); // must not deadlock with size 1
             hits.fetch_add(1, Ordering::SeqCst);
         });

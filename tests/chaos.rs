@@ -42,6 +42,19 @@ fn cfg_for(mode: KernelMode, strategy: CommStrategy) -> EngineConfig {
     base.with_comm_strategy(strategy)
 }
 
+/// The rank-health cases: every mode on its `cfg_for` config (pure MPI
+/// for the vector modes) plus both vector modes on two-thread hybrid
+/// ranks, whose team region must still meet every barrier after thread 0
+/// sees the fault.
+fn rank_health_cases() -> Vec<(KernelMode, EngineConfig)> {
+    let hybrid = EngineConfig::hybrid(2).with_comm_strategy(CommStrategy::Flat);
+    KernelMode::ALL
+        .map(|mode| (mode, cfg_for(mode, CommStrategy::Flat)))
+        .into_iter()
+        .chain([KernelMode::VectorNoOverlap, KernelMode::VectorNaiveOverlap].map(|m| (m, hybrid)))
+        .collect()
+}
+
 /// Runs `iters` SpMV sweeps of `mode` on the given world and returns each
 /// rank's final local result plus the world fault counters.
 fn run_sweeps(
@@ -141,13 +154,12 @@ fn recoverable_faults_are_bit_identically_invisible() {
 fn stall_triggers_watchdog_dump_not_hang() {
     let m = test_matrix();
     let partition = RowPartition::by_nnz(&m, RANKS);
-    for mode in KernelMode::ALL {
+    for (mode, cfg) in rank_health_cases() {
         let comms = CommWorld::builder(RANKS)
             .node_map(node_map())
             .faults(FaultPlan::new(7).stall_rank(2, 10))
             .watchdog(Duration::from_millis(100))
             .build();
-        let cfg = cfg_for(mode, CommStrategy::Flat);
         let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
             for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
                 *v = i as f64 * 0.01 + 1.0;
@@ -185,12 +197,11 @@ fn killed_rank_fails_fast_with_typed_errors() {
     let m = synthetic::random_banded_symmetric(60, 9, 4.0, 3);
     let ranks = 3; // band 9 over 20-row blocks: every rank talks to rank 1
     let partition = RowPartition::by_nnz(&m, ranks);
-    for mode in KernelMode::ALL {
+    for (mode, cfg) in rank_health_cases() {
         let comms = CommWorld::builder(ranks)
             .faults(FaultPlan::new(9).kill_rank(1, 8))
             .watchdog(Duration::from_millis(100))
             .build();
-        let cfg = cfg_for(mode, CommStrategy::Flat);
         let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
             for v in eng.x_local_mut().iter_mut() {
                 *v = 1.0;

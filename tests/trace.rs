@@ -16,8 +16,8 @@ use spmv_core::modes::Step;
 use spmv_core::{run_spmd_on_world, CommStrategy, EngineConfig, KernelMode, RowPartition};
 use spmv_matrix::{synthetic, CsrMatrix};
 use spmv_obs::{
-    chrome_trace_json, metrics_json, text_timeline, validate_json, Phase, RankTrace, RunTrace,
-    TraceMetrics, FAULT_LANE,
+    ascii_timeline, chrome_trace_json, metrics_json, text_timeline, validate_json, Phase,
+    RankTrace, RunTrace, TraceMetrics, FAULT_LANE,
 };
 
 const RANKS: usize = 4;
@@ -252,9 +252,11 @@ fn all_modes_record_their_phases() {
 /// the flat exchange, and each rank's recorded phases follow the mode's
 /// step table ([`KernelMode::lanes`]), the table the explorer proves and
 /// the simulator prices. Task mode's comm lane (trace lane 0) and every
-/// compute lane are compared with their own table lane; a vector mode's
-/// comm and compute spans are merged by start time. Exchange stages with
-/// no ops record no span, so they are left out of the expectation.
+/// compute lane are compared with their own table lane. A vector mode's
+/// comm spans (lane 0) and first compute thread's spans (lane 1) are
+/// merged by start time; every other compute lane holds the table's gather
+/// and kernel steps. Exchange stages with no ops record no span, so they
+/// are left out of the expectation.
 #[test]
 fn engine_follows_the_mode_step_table() {
     let m = test_matrix();
@@ -295,11 +297,27 @@ fn engine_follows_the_mode_step_table() {
                 spans.iter().map(|e| e.phase).collect()
             };
             match mode.lanes() {
-                [lane] => assert_eq!(
-                    recorded(&[0, 1]),
-                    expect(lane),
-                    "{mode}: rank {rank} left its table"
-                ),
+                [lane] => {
+                    assert_eq!(
+                        recorded(&[0, 1]),
+                        expect(lane),
+                        "{mode}: rank {rank} left its table"
+                    );
+                    // every other compute thread runs its own chunk of
+                    // each gather and kernel step
+                    let compute: Vec<Phase> = lane
+                        .iter()
+                        .filter(|s| matches!(s, Step::Gather | Step::Kernel(_)))
+                        .map(|s| s.phase())
+                        .collect();
+                    for lane in 2..=compute_lanes {
+                        assert_eq!(
+                            recorded(&[lane]),
+                            compute,
+                            "{mode}: rank {rank} compute lane {lane} left its table"
+                        );
+                    }
+                }
                 [comm, compute] => {
                     assert_eq!(
                         recorded(&[0]),
@@ -316,6 +334,33 @@ fn engine_follows_the_mode_step_table() {
                 }
                 _ => unreachable!("a kernel mode has one or two lanes"),
             }
+        }
+    }
+}
+
+/// Each compute thread records the bytes of its own gather runs, so in
+/// every mode the gather spans of one SpMV add up to the send buffer.
+#[test]
+fn gather_spans_sum_to_the_send_buffer() {
+    let m = test_matrix();
+    let partition = RowPartition::by_nnz(&m, RANKS);
+    for mode in KernelMode::ALL {
+        let world = CommWorld::builder(RANKS).build();
+        let cfg = cfg_for(mode).with_tracing(true);
+        let per_rank = run_spmd_on_world(world, &m, &partition, cfg, |eng| {
+            eng.x_local_mut().fill(1.0);
+            eng.spmv_checked(mode).unwrap();
+            let want = 8 * eng.schedule().gather.len() as u64;
+            (eng.take_trace().expect("tracing enabled"), want)
+        });
+        for (trace, want) in per_rank {
+            let got: u64 = trace
+                .events
+                .iter()
+                .filter(|e| e.phase == Phase::Gather)
+                .map(|e| e.bytes)
+                .sum();
+            assert_eq!(got, want, "{mode}: rank {} gather bytes", trace.rank);
         }
     }
 }
@@ -376,8 +421,7 @@ fn exporters_round_trip_a_measured_run() {
     let text = text_timeline(&trace);
     assert!(text.lines().count() > RANKS, "one line per span at least");
 
-    // the sim crate understands the measured vocabulary
-    let sim_view = spmv_sim::Trace::from_measured(&trace);
-    assert!(sim_view.time_in_exact(0, "waitall") > 0.0);
-    assert!(sim_view.render_rank_ascii(0, 60).contains("legend"));
+    // the Fig. 4 renderer draws measured spans as well as simulated ones
+    assert!(trace.time_in(0, Phase::Waitall) > 0.0);
+    assert!(ascii_timeline(&trace, 0, 60).contains("legend"));
 }
